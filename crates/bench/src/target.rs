@@ -436,7 +436,7 @@ pub fn make_reshard_store_target(
 
 /// Builds the `Store-scan-snapshot` target: the same hot-shard layout and
 /// aggressive rebalancing policy as [`make_reshard_store_target`], but
-/// every range query runs as a **snapshot-isolated paged scan** —
+/// every range query runs as a **pinned-snapshot paged scan** —
 /// `scan_snapshot_pages` pins the commit timestamp on the first page and
 /// serves every later page from the version bundles at that instant. The
 /// series demonstrates that long scans neither retry against concurrent

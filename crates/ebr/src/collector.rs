@@ -3,6 +3,7 @@
 use crate::local::{Deferred, LocalHandle};
 use crate::participant::Registry;
 use crate::SAFE_EPOCH_DISTANCE;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 pub(crate) struct Inner {
@@ -10,6 +11,10 @@ pub(crate) struct Inner {
     /// Garbage abandoned by unregistered threads, adopted by whichever
     /// handle collects next.
     pub(crate) orphans: Mutex<Vec<(u64, Deferred)>>,
+    /// Drains in flight: raised under the orphan lock before ready
+    /// entries leave the list, lowered after their destructors ran. With
+    /// the list empty and this 0, no orphaned destructor is pending.
+    pub(crate) draining: AtomicUsize,
 }
 
 impl Inner {
@@ -20,6 +25,10 @@ impl Inner {
         let Ok(mut orphans) = self.orphans.try_lock() else {
             return;
         };
+        if orphans.is_empty() {
+            return;
+        }
+        self.draining.fetch_add(1, Ordering::SeqCst);
         let mut ready = Vec::new();
         orphans.retain_mut(|(epoch, d)| {
             if *epoch + SAFE_EPOCH_DISTANCE <= global {
@@ -33,6 +42,20 @@ impl Inner {
         for d in ready {
             d.call();
         }
+        self.draining.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Whether no orphaned deferral is queued or mid-destructor.
+    pub(crate) fn orphans_settled(&self) -> bool {
+        let empty = self
+            .orphans
+            .lock()
+            // INVARIANT: no code path panics while holding this lock.
+            .expect("orphan list poisoned")
+            .is_empty();
+        // Read after the lock: a drain that emptied the list raised the
+        // counter before releasing it.
+        empty && self.draining.load(Ordering::SeqCst) == 0
     }
 }
 
@@ -73,6 +96,7 @@ impl Collector {
             inner: Arc::new(Inner {
                 registry: Registry::new(),
                 orphans: Mutex::new(Vec::new()),
+                draining: AtomicUsize::new(0),
             }),
         }
     }

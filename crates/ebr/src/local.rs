@@ -8,6 +8,10 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
+/// How long [`LocalHandle::advance_until_quiescent`] keeps collecting
+/// before it declares the epoch stuck.
+const QUIESCENT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
+
 /// A type-erased deferred destructor.
 ///
 /// Wrapped in an `Option` so it can be moved out of collections in place
@@ -198,16 +202,19 @@ impl LocalHandle {
     }
 
     /// Repeatedly advances the epoch and collects until this handle holds no
-    /// garbage. Only meaningful when no other thread is pinned indefinitely;
-    /// intended for tests and teardown paths.
+    /// garbage, the collector's orphan list (garbage of exited threads) is
+    /// empty, and no other thread is still running orphaned destructors it
+    /// took off that list. Only meaningful when no other thread is pinned
+    /// indefinitely; intended for tests and teardown paths.
     pub fn advance_until_quiescent(&self) {
-        for _ in 0..64 {
+        let start = std::time::Instant::now();
+        while start.elapsed() < QUIESCENT_TIMEOUT {
             self.collect();
-            if self.inner.garbage_len() == 0 {
-                // One extra round so orphans two epochs back drain too.
-                self.collect();
+            if self.inner.garbage_len() == 0 && self.inner.collector.orphans_settled() {
                 return;
             }
+            // Let briefly pinned threads unpin so the epoch can advance.
+            std::thread::yield_now();
         }
         // INVARIANT: diagnostic API — documented to panic when a foreign
         // pin blocks the epoch; deadlocking silently would hide the bug.

@@ -30,20 +30,19 @@
 //! that encoding; plain stores use [`Op::Put`]/[`Op::Get`]/[`Op::Range`]/
 //! [`Op::Batch`].
 //!
-//! # Snapshot isolation
+//! # Snapshot scans
 //!
 //! The stack's pinned-timestamp scans (`LeapStore::scan_snapshot`,
 //! `Table::scan_by_snapshot`) claim more than per-page consistency: the
-//! **whole multi-page scan** observes one instant. [`check_snapshot_isolation`]
+//! **whole multi-page scan** is one linearizable read. [`check_snapshot_scans`]
 //! verifies that claim from a recorded run. Each scan is recorded as ONE
 //! event via [`Session::snapshot_scan`] — invocation stamped before the
 //! timestamp is pinned, response after the last page, result the merged
 //! pages plus the pinned timestamp. The checker then requires (a) a
-//! serialization in which every scan is one **atomic** range read — a
-//! paged scan whose pages mixed two instants has no such serialization —
-//! where writes respect real time strictly and a scan may only trail it
-//! (the pin can lag a just-responded write while an earlier commit is
-//! still wiring: SI, not strict serializability, on the read path),
+//! linearization in which every scan is one **atomic** range read — a
+//! paged scan whose pages mixed two instants has none — and which
+//! respects real time for scans exactly as for every other operation (a
+//! scan must observe every write that responded before it was invoked),
 //! (b) pinned timestamps that never run backwards across real time, and
 //! (c) identical results from scans that pinned the same timestamp over
 //! the same range.
@@ -157,15 +156,11 @@ pub enum Op {
         /// Highest matching field value (inclusive).
         hi: u64,
     },
-    /// A whole multi-page snapshot-isolated scan of `[lo, hi]`, collapsed
-    /// to one event: the response is the merged pages, which must all
-    /// have read the database at the one pinned commit timestamp `ts`.
-    /// Replays exactly like [`Op::Range`], except the search may place it
-    /// **before its invocation**: a pinned snapshot is allowed to trail
-    /// writes that committed with a higher timestamp while an earlier
-    /// commit was still wiring — snapshot isolation, not strict
-    /// serializability, on the read path. `ts` additionally feeds the
-    /// axioms of [`check_snapshot_isolation`].
+    /// A whole multi-page snapshot scan of `[lo, hi]`, collapsed to one
+    /// event: the response is the merged pages, which must all have read
+    /// the database at the one pinned commit timestamp `ts`. Replays
+    /// exactly like [`Op::Range`], under the same real-time order; `ts`
+    /// additionally feeds the axioms of [`check_snapshot_scans`].
     SnapshotScan {
         /// Lowest key scanned.
         lo: u64,
@@ -338,7 +333,7 @@ impl Session {
         new
     }
 
-    /// Runs and records a whole snapshot-isolated paged scan as ONE
+    /// Runs and records a whole pinned-timestamp paged scan as ONE
     /// event: the closure pins the timestamp, drives **every** page, and
     /// returns `(pinned ts, merged pages)`; the invocation stamp
     /// precedes the pin and the response stamp follows the last page.
@@ -577,14 +572,15 @@ pub fn check(history: &History, initial: &BTreeMap<u64, u64>) -> Result<CheckRep
     check_bounded(history, initial, DEFAULT_STATE_BUDGET)
 }
 
-/// Checks the stack's **snapshot-isolation** claims over a history of
-/// writers racing whole multi-page scans recorded via
-/// [`Session::snapshot_scan`] (see the crate docs):
+/// Checks the stack's **snapshot-scan** claims over a history of writers
+/// racing whole multi-page scans recorded via [`Session::snapshot_scan`]
+/// (see the crate docs):
 ///
-/// 1. **Scan atomicity** — the history must serialize with every scan as
-///    one atomic range read, writes strictly real-time-ordered, scans
-///    allowed to read slightly in the past (delegates to [`check`]; a
-///    scan whose pages mixed two instants has no serialization).
+/// 1. **Scan linearizability** — the history must linearize with every
+///    scan as one atomic range read, in real-time order like every other
+///    operation (delegates to [`check`]; a scan whose pages mixed two
+///    instants, or that missed a write which responded before the scan
+///    was invoked, has no linearization).
 /// 2. **Pin monotonicity** — a scan that responded before another was
 ///    invoked must pin a timestamp no later than the other's.
 /// 3. **Pin determinism** — scans that pinned the same timestamp must
@@ -594,7 +590,7 @@ pub fn check(history: &History, initial: &BTreeMap<u64, u64>) -> Result<CheckRep
 ///
 /// [`Violation::SnapshotRegression`] / [`Violation::SnapshotDivergence`]
 /// on a timestamp-axiom breach, otherwise as for [`check`].
-pub fn check_snapshot_isolation(
+pub fn check_snapshot_scans(
     history: &History,
     initial: &BTreeMap<u64, u64>,
 ) -> Result<CheckReport, Violation> {
@@ -764,13 +760,7 @@ impl Search<'_> {
             let Some(e) = self.sessions[i].get(self.heads[i]) else {
                 continue;
             };
-            // A snapshot scan's read point is its PIN, which may trail a
-            // write that responded just before the scan was invoked (the
-            // pin excludes commits above a still-wiring transaction), so
-            // a scan may linearize before its invocation. Every other op
-            // respects real time strictly.
-            let stale_ok = matches!(e.op, Op::SnapshotScan { .. });
-            if !stale_ok && e.inv > min_res {
+            if e.inv > min_res {
                 continue; // Blocked behind a pending response.
             }
             let Some(undo) = replay(&e.op, &e.ret, &mut self.model) else {
@@ -1061,7 +1051,7 @@ mod tests {
         });
         drop(s);
         let init = BTreeMap::from([(1, 10), (2, 20)]);
-        let report = check_snapshot_isolation(&rec.history(), &init).expect("valid SI history");
+        let report = check_snapshot_scans(&rec.history(), &init).expect("valid scan history");
         assert_eq!(report.events, 3);
     }
 
@@ -1092,44 +1082,36 @@ mod tests {
         };
         let init = BTreeMap::from([(1, 10), (2, 20)]);
         assert!(matches!(
-            check_snapshot_isolation(&h, &init),
+            check_snapshot_scans(&h, &init),
             Err(Violation::NotSerializable { .. })
         ));
     }
 
     #[test]
-    fn snapshot_scan_may_read_slightly_in_the_past() {
+    fn snapshot_scan_must_respect_real_time() {
         // The put RESPONDED before the scan was invoked, yet the scan
-        // missed it. As a plain Range that is a stale read; a pinned
-        // snapshot is allowed to trail (its pin excludes commits above a
-        // still-wiring transaction).
+        // missed it: a stale read, for a pinned snapshot exactly as for a
+        // plain Range. Overlapping the put, the scan may go either side.
+        let scan = |inv| {
+            let op = Op::SnapshotScan {
+                lo: 0,
+                hi: 9,
+                ts: 0,
+            };
+            ev(op, Ret::Snapshot(Vec::new()), inv, 3)
+        };
         let put = ev(Op::Put(1, 10), Ret::Value(None), 0, 1);
         let h = History {
-            sessions: vec![
-                vec![put.clone()],
-                vec![ev(
-                    Op::SnapshotScan {
-                        lo: 0,
-                        hi: 9,
-                        ts: 0,
-                    },
-                    Ret::Snapshot(Vec::new()),
-                    2,
-                    3,
-                )],
-            ],
-        };
-        check_snapshot_isolation(&h, &BTreeMap::new()).expect("SI permits the trailing pin");
-        let h = History {
-            sessions: vec![
-                vec![put],
-                vec![ev(Op::Range(0, 9), Ret::Snapshot(Vec::new()), 2, 3)],
-            ],
+            sessions: vec![vec![put.clone()], vec![scan(2)]],
         };
         assert!(matches!(
-            check(&h, &BTreeMap::new()),
+            check_snapshot_scans(&h, &BTreeMap::new()),
             Err(Violation::NotSerializable { .. })
         ));
+        let h = History {
+            sessions: vec![vec![put], vec![scan(0)]],
+        };
+        check_snapshot_scans(&h, &BTreeMap::new()).expect("a concurrent scan may precede the put");
     }
 
     #[test]
@@ -1161,7 +1143,7 @@ mod tests {
                 ),
             ]],
         };
-        let err = check_snapshot_isolation(&h, &BTreeMap::new()).unwrap_err();
+        let err = check_snapshot_scans(&h, &BTreeMap::new()).unwrap_err();
         assert!(matches!(err, Violation::SnapshotRegression { .. }), "{err}");
         assert!(err.to_string().contains("ran backwards"), "{err}");
     }
@@ -1197,7 +1179,7 @@ mod tests {
             ],
         };
         let init = BTreeMap::from([(1, 1)]);
-        let err = check_snapshot_isolation(&h, &init).unwrap_err();
+        let err = check_snapshot_scans(&h, &init).unwrap_err();
         assert!(matches!(err, Violation::SnapshotDivergence { .. }), "{err}");
         // Disjoint ranges at one timestamp never conflict.
         let h = History {
@@ -1225,6 +1207,6 @@ mod tests {
                 )],
             ],
         };
-        check_snapshot_isolation(&h, &init).expect("disjoint ranges cannot diverge");
+        check_snapshot_scans(&h, &init).expect("disjoint ranges cannot diverge");
     }
 }

@@ -38,7 +38,7 @@
 //! replaced heads are handed to `crates/ebr` so readers mid-traversal
 //! stay safe; a node's residual chain is freed with the node itself.
 
-use crate::node::{public_key, Node};
+use crate::node::Node;
 use crate::raw::RawLeapList;
 use leap_ebr::Guard;
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -82,8 +82,8 @@ impl<V> Bundle<V> {
 
     /// Seeds a freshly published (or sentinel) node's bundle with its
     /// first version. Exclusive access: the node is not yet reachable by
-    /// snapshot readers (its `created_ts` store has not been ordered
-    /// before any pinnable timestamp — see the wiring watermark).
+    /// snapshot readers (a pin at or past the seeding commit waits for
+    /// its wiring ticket to drop — see `StmDomain::pin_snapshot`).
     pub(crate) fn seed(&self, ts: u64, ptr: *mut Node<V>) {
         // ORDERING: debug-only sanity read under exclusive access; no
         // publication depends on it.
@@ -239,10 +239,10 @@ impl<V> Drop for Bundle<V> {
 /// hand a parked node to the EBR deferral queue only once the domain's
 /// [`prune_bound`](leap_stm::StmDomain::prune_bound) has reached `wv` —
 /// at that point every live pin has `ts >= wv` (the node, retired at
-/// `wv`, is invisible at every such `ts`) and the watermark guarantees
-/// every future pin will too. The EBR grace period then covers plain
-/// transaction-free readers that found the node through the live list
-/// just before it was unlinked.
+/// `wv`, is invisible at every such `ts`) and, the bound being at most
+/// the clock, every future pin will too. The EBR grace period then
+/// covers plain transaction-free readers that found the node through the
+/// live list just before it was unlinked.
 ///
 /// Parked nodes are bounded by the write volume per pin lifetime (the
 /// same bound as bundle depth); with no pins live the next committed
@@ -368,10 +368,12 @@ pub(crate) unsafe fn stamp_segment<V: 'static>(
     }
 }
 
-/// Collects up to `limit` pairs with internal keys in `[ilo, ihi]` from
-/// the list **as it was at snapshot timestamp `ts`**: a transaction-free,
-/// retry-free level-0 walk that resolves every forward link through its
-/// bundle.
+/// Feeds up to `limit` pairs with internal keys in `[ilo, ihi]` from the
+/// list **as it was at snapshot timestamp `ts`** to `sink`, one in-range
+/// slice of a node's (internal-key) data per call, ascending: a
+/// transaction-free, retry-free level-0 walk that resolves every forward
+/// link through its bundle. Returns the number of pairs fed. A collecting
+/// sink clones the slices out; a counting sink only adds their lengths.
 ///
 /// The walk starts from the live predecessor window of `ilo` — the lowest
 /// window node already published at `ts` (windows near a hot write point
@@ -382,18 +384,18 @@ pub(crate) unsafe fn stamp_segment<V: 'static>(
 /// # Safety
 ///
 /// Caller must hold an epoch guard pinned **before** `ts` was pinned on
-/// the list's domain, and `ts` must be at most the domain's
-/// [`snapshot_ts`](leap_stm::StmDomain::snapshot_ts) with a live
-/// [`SnapshotPin`](leap_stm::SnapshotPin) at-or-below `ts` (so bundle
-/// pruning preserves every version visible at `ts`).
-pub(crate) unsafe fn snapshot_collect<V: Clone>(
+/// the list's domain, and `ts` must come from a live
+/// [`SnapshotPin`](leap_stm::SnapshotPin) of that domain (so every commit
+/// at-or-below `ts` is fully wired and bundle pruning preserves every
+/// version visible at `ts`).
+pub(crate) unsafe fn snapshot_collect<V>(
     raw: &RawLeapList<V>,
     ts: u64,
     ilo: u64,
     ihi: u64,
     limit: usize,
-    out: &mut Vec<(u64, V)>,
-) {
+    mut sink: impl FnMut(&[(u64, V)]),
+) -> usize {
     debug_assert!(ilo >= 1 && ilo <= ihi && limit > 0);
     // SAFETY: traversal under the caller's guard.
     let w = unsafe { raw.search_predecessors(ilo) };
@@ -402,36 +404,40 @@ pub(crate) unsafe fn snapshot_collect<V: Clone>(
         let pa = w.pa[i];
         // A live predecessor created at-or-before `ts` is on the snapshot
         // chain: live-now means no commit with wv <= ts retired it (the
-        // watermark orders completed wirings before pinnable timestamps).
+        // pin waited until every such commit finished wiring).
         // SAFETY: `pa` came from a search under the caller's guard.
         if unsafe { &*pa }.created_ts.load(Ordering::Acquire) <= ts {
             cur = pa;
             break;
         }
     }
-    let start = out.len();
+    let mut fed = 0usize;
     loop {
         // SAFETY: nodes on the snapshot chain at `ts` stay allocated under
         // the caller's guard (retirements after the guard's pin are
         // deferred; earlier retirements are invisible at `ts`).
         let node = unsafe { &*cur };
         debug_assert!(node.visible_at(ts), "snapshot walk left the ts-chain");
-        for (k, v) in node.data.iter() {
-            if *k >= ilo && *k <= ihi {
-                out.push((public_key(*k), v.clone()));
-                if out.len() - start == limit {
-                    return;
-                }
-            }
+        let from = node.data.partition_point(|(k, _)| *k < ilo);
+        let to = node.data.partition_point(|(k, _)| *k <= ihi);
+        let take = (to - from).min(limit - fed);
+        if take > 0 {
+            sink(&node.data[from..from + take]);
+            fed += take;
         }
-        if node.high >= ihi {
-            return;
+        if fed == limit || node.high >= ihi {
+            return fed;
         }
-        // SAFETY: resolution under the caller's guard; a node visible at
-        // `ts` was stamped (seeded) at-or-before `ts`, so the resolved
-        // successor is non-null.
+        // SAFETY: resolution under the caller's guard.
         let nxt = unsafe { node.bundle.resolve(ts) };
-        debug_assert!(!nxt.is_null(), "visible node lacks a version at ts");
+        if nxt.is_null() {
+            // INVARIANT: a node visible at `ts` was seeded at-or-before
+            // `ts`, and pruning never cuts the newest entry at-or-below a
+            // live pin, so its bundle resolves at `ts`. A null here means
+            // the pin's timestamp fell below a prune bound; dereferencing
+            // it would read freed or null memory, so fail loudly instead.
+            panic!("snapshot walk at ts {ts}: a visible node has no bundle version at ts");
+        }
         cur = nxt;
     }
 }

@@ -38,7 +38,8 @@
 //!    chains covering the tail sentinel preserve full-height termination.
 //!    This is the general form of the paper's split (1 node -> 2) and
 //!    merge (2 nodes -> 1); a segment whose ops are all absent-key removes
-//!    is dropped, leaving the list untouched.
+//!    is not rebuilt, leaving the list untouched — the transaction only
+//!    re-validates it read-only, so the absences hold at the commit.
 //!
 //! All of the above runs *outside* any transaction — the paper's central
 //! lesson. The transaction (`validate_segment` / `mark_segment` in
@@ -154,13 +155,21 @@ impl<V> Drop for RemovePlan<V> {
 }
 
 /// Builds a remove plan (paper Fig. 11), retrying internally while the
-/// neighbourhood is mid-replacement. Returns `None` when the key is absent
-/// (`changed[j] = false` in the paper — the list is left untouched).
+/// neighbourhood is mid-replacement. Returns the search window whose
+/// target lacks the key when the key is absent (`changed[j] = false` in
+/// the paper — the list is left untouched, but a composite commit still
+/// re-validates that target so the absence holds at its instant).
 ///
 /// # Safety
 ///
 /// Same contract as [`plan_update`].
-pub(crate) unsafe fn plan_remove<V: Clone>(raw: &RawLeapList<V>, ik: u64) -> Option<RemovePlan<V>> {
+// Both outcomes carry one search window (the plan embeds its own), so
+// boxing the absent one would only add an allocation per absent key.
+#[allow(clippy::result_large_err)]
+pub(crate) unsafe fn plan_remove<V: Clone>(
+    raw: &RawLeapList<V>,
+    ik: u64,
+) -> Result<RemovePlan<V>, SearchWindow<V>> {
     let mut retries = 0u32;
     loop {
         retries += 1;
@@ -176,7 +185,7 @@ pub(crate) unsafe fn plan_remove<V: Clone>(raw: &RawLeapList<V>, ik: u64) -> Opt
         // SAFETY: observed live; guard held.
         let n0_ref = unsafe { &*n0 };
         if n0_ref.data.binary_search_by_key(&ik, |(k, _)| *k).is_err() {
-            return None;
+            return Err(w);
         }
         // Read the successor; retry while a committed update is mid-release
         // on it (paper lines 159-162).
@@ -208,8 +217,10 @@ pub(crate) unsafe fn plan_remove<V: Clone>(raw: &RawLeapList<V>, ik: u64) -> Opt
         } else {
             None
         };
-        let b = build_remove(n0_ref, n1_opt, ik, merge)?;
-        return Some(RemovePlan {
+        let Some(b) = build_remove(n0_ref, n1_opt, ik, merge) else {
+            return Err(w);
+        };
+        return Ok(RemovePlan {
             w,
             n0,
             n1,
@@ -246,7 +257,8 @@ pub(crate) struct ChainSegment<V> {
     pub w: SearchWindow<V>,
     /// The adjacent nodes being replaced, in chain order (non-empty).
     pub old: Vec<*mut Node<V>>,
-    /// The replacement chain, in key order (non-empty).
+    /// The replacement chain, in key order (non-empty, except in a
+    /// [read-only](ChainSegment::read_only) segment).
     pub new: Vec<*mut Node<V>>,
     /// Maximum tower height among `old`.
     pub old_max: usize,
@@ -262,12 +274,34 @@ pub(crate) struct ChainSegment<V> {
     pub pa_wire: Vec<*mut Node<V>>,
 }
 
+impl<V> ChainSegment<V> {
+    /// A segment whose ops were all absent-key removes: nothing in it is
+    /// replaced or wired, but the commit re-validates `old` read-only
+    /// (still live, unmarked, adjacent), so the absences the plan read
+    /// still hold at the commit's instant. Without it a composite remove
+    /// could report a key absent that a racing insert added before the
+    /// commit — a torn composite result.
+    fn read_only(w: SearchWindow<V>, old: Vec<*mut Node<V>>) -> Self {
+        ChainSegment {
+            w,
+            old,
+            new: Vec::new(),
+            old_max: 0,
+            wire_height: 0,
+            pa_wire: Vec::new(),
+        }
+    }
+}
+
 /// Everything a k-op batch against one list needs to validate, lock and
 /// wire: the segments to replace plus the per-op previous values computed
 /// during the rebuild.
 pub(crate) struct MultiUpdatePlan<V> {
     /// Segments in key order; empty when every op was an absent-key remove.
     pub segments: Vec<ChainSegment<V>>,
+    /// [Read-only](ChainSegment::read_only) segments: the runs that only
+    /// absent-key removes hit, validated at commit but never marked.
+    pub reads: Vec<ChainSegment<V>>,
     /// Previous value per op, in batch input order.
     pub results: Vec<Option<V>>,
     published: Cell<bool>,
@@ -330,18 +364,23 @@ unsafe fn plan_single<V: Clone>(raw: &RawLeapList<V>, op: &ListOp<'_, V>) -> Mul
             };
             MultiUpdatePlan {
                 segments: vec![seg],
+                reads: Vec::new(),
                 results: vec![p.old_value.clone()],
                 published: Cell::new(false),
             }
         }
         // SAFETY: forwards this fn's own guard contract.
         ListOp::Del(ik) => match unsafe { plan_remove(raw, *ik) } {
-            None => MultiUpdatePlan {
-                segments: Vec::new(),
-                results: vec![None],
-                published: Cell::new(false),
-            },
-            Some(p) => {
+            Err(w) => {
+                let target = w.target();
+                MultiUpdatePlan {
+                    segments: Vec::new(),
+                    reads: vec![ChainSegment::read_only(w, vec![target])],
+                    results: vec![None],
+                    published: Cell::new(false),
+                }
+            }
+            Ok(p) => {
                 p.mark_published();
                 // SAFETY: guard-protected plan pointers; immutable fields.
                 let wire_height = unsafe { &*p.n_new }.level;
@@ -364,6 +403,7 @@ unsafe fn plan_single<V: Clone>(raw: &RawLeapList<V>, op: &ListOp<'_, V>) -> Mul
                 };
                 MultiUpdatePlan {
                     segments: vec![seg],
+                    reads: Vec::new(),
                     results: vec![Some(p.old_value.clone())],
                     published: Cell::new(false),
                 }
@@ -623,6 +663,7 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
         let mut results: Vec<Option<V>> = Vec::new();
         results.resize_with(ops.len(), || None);
         let mut segments: Vec<ChainSegment<V>> = Vec::with_capacity(segs.len());
+        let mut reads: Vec<ChainSegment<V>> = Vec::new();
         for sd in segs {
             let mut data: Vec<(u64, V)> = Vec::with_capacity(sd.count);
             for &o in &sd.nodes {
@@ -661,7 +702,9 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
             }
             if !changed {
                 // Only absent-key removes hit this segment: the list is
-                // left untouched (the paper's `changed[j] = false`).
+                // left untouched (the paper's `changed[j] = false`), and
+                // the commit only re-validates the run.
+                reads.push(ChainSegment::read_only(sd.w, sd.nodes));
                 continue;
             }
             if data.len() != sd.count {
@@ -746,6 +789,7 @@ pub(crate) unsafe fn plan_multi<V: Clone>(
         }
         return MultiUpdatePlan {
             segments,
+            reads,
             results,
             published: Cell::new(false),
         };
@@ -778,7 +822,7 @@ mod tests {
 
     fn plan_remove_t<V: Clone>(l: &RawLeapList<V>, ik: u64) -> Option<RemovePlan<V>> {
         // SAFETY: single-threaded test; see the module comment above.
-        unsafe { plan_remove(l, ik) }
+        unsafe { plan_remove(l, ik) }.ok()
     }
 
     fn plan_multi_t<V: Clone>(l: &RawLeapList<V>, ops: &[ListOp<'_, V>]) -> MultiUpdatePlan<V> {
@@ -884,6 +928,7 @@ mod tests {
         let ops: [ListOp<u64>; 2] = [ListOp::Del(4), ListOp::Del(9)];
         let p = plan_multi_t(&l, &ops);
         assert!(p.segments.is_empty(), "no change, no replacement");
+        assert_eq!(p.reads.len(), 1, "the located run is re-validated");
         assert_eq!(p.results, vec![None, None]);
     }
 

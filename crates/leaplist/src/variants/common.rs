@@ -410,56 +410,16 @@ pub(crate) unsafe fn cop_lookup<V: Clone>(raw: &RawLeapList<V>, ik: u64) -> Opti
 /// reads each level-0 pointer transactionally. Returns the collected node
 /// pointers (the caller extracts pairs from their immutable arrays).
 ///
+/// The walk stops at the node covering `ihi`, or as soon as the collected
+/// nodes hold `limit` pairs in `[ilo, ihi]` — the paged form: a bounded
+/// page never walks (or validates) more nodes than it needs, so its cost
+/// is `O(limit / K)` regardless of the range's width. Pass `usize::MAX`
+/// for the whole range.
+///
 /// # Safety
 ///
 /// Caller holds an epoch guard; returned pointers are valid under it.
 pub(crate) unsafe fn collect_range<'t, V: 'static>(
-    tx: &mut Txn<'t>,
-    start: *mut Node<V>,
-    ihi: u64,
-) -> TxResult<Vec<*mut Node<V>>> {
-    let mut nodes = Vec::new();
-    let mut n = start;
-    loop {
-        // SAFETY: start observed by the search under the guard; successors
-        // reached through validated transactional reads.
-        let node = unsafe { &*n };
-        if !tx.read(&node.live)? {
-            return Err(tx.explicit_abort());
-        }
-        nodes.push(n);
-        if node.high >= ihi {
-            return Ok(nodes);
-        }
-        let s = tx.read(&node.next[0])?;
-        // Paper line 41: traverse through a partially released pointer by
-        // stripping the mark; the liveness check above decides validity.
-        let next = s.unmarked().as_ptr();
-        debug_assert!(!next.is_null(), "tail.high = +inf terminates the walk");
-        n = next;
-    }
-}
-
-/// Number of pairs in `node` with internal keys in `[ilo, ihi]` — safe to
-/// compute mid-transaction because node contents are immutable once
-/// published; the commit validates that the node belonged to the snapshot.
-fn pairs_in<V>(node: &Node<V>, ilo: u64, ihi: u64) -> usize {
-    let start = node.data.partition_point(|(k, _)| *k < ilo);
-    node.data[start..]
-        .iter()
-        .take_while(|(k, _)| *k <= ihi)
-        .count()
-}
-
-/// Like [`collect_range`] but stops as soon as the collected nodes hold at
-/// least `limit` pairs in `[ilo, ihi]` — the engine of the paged range
-/// query: a bounded page never walks (or validates) more nodes than it
-/// needs, so page cost is `O(limit / K)` regardless of the range's width.
-///
-/// # Safety
-///
-/// As for [`collect_range`].
-pub(crate) unsafe fn collect_range_bounded<'t, V: 'static>(
     tx: &mut Txn<'t>,
     start: *mut Node<V>,
     ilo: u64,
@@ -477,47 +437,30 @@ pub(crate) unsafe fn collect_range_bounded<'t, V: 'static>(
             return Err(tx.explicit_abort());
         }
         nodes.push(n);
-        pairs += pairs_in(node, ilo, ihi);
+        if limit < usize::MAX {
+            pairs += pairs_in(node, ilo, ihi);
+        }
         if node.high >= ihi || pairs >= limit {
             return Ok(nodes);
         }
         let s = tx.read(&node.next[0])?;
+        // Paper line 41: traverse through a partially released pointer by
+        // stripping the mark; the liveness check above decides validity.
         let next = s.unmarked().as_ptr();
         debug_assert!(!next.is_null(), "tail.high = +inf terminates the walk");
         n = next;
     }
 }
 
-/// Counts the pairs with internal keys in `[ilo, ihi]` inside the
-/// transactional walk itself: no node buffer, no value clones — the
-/// count-only path under `count_range` / `len`.
-///
-/// # Safety
-///
-/// As for [`collect_range`].
-pub(crate) unsafe fn count_range_tx<'t, V: 'static>(
-    tx: &mut Txn<'t>,
-    start: *mut Node<V>,
-    ilo: u64,
-    ihi: u64,
-) -> TxResult<usize> {
-    let mut count = 0usize;
-    let mut n = start;
-    loop {
-        // SAFETY: as for `collect_range_bounded`.
-        let node = unsafe { &*n };
-        if !tx.read(&node.live)? {
-            return Err(tx.explicit_abort());
-        }
-        count += pairs_in(node, ilo, ihi);
-        if node.high >= ihi {
-            return Ok(count);
-        }
-        let s = tx.read(&node.next[0])?;
-        let next = s.unmarked().as_ptr();
-        debug_assert!(!next.is_null(), "tail.high = +inf terminates the walk");
-        n = next;
-    }
+/// Number of pairs in `node` with internal keys in `[ilo, ihi]` — safe to
+/// compute mid-transaction because node contents are immutable once
+/// published; the commit validates that the node belonged to the snapshot.
+pub(crate) fn pairs_in<V>(node: &Node<V>, ilo: u64, ihi: u64) -> usize {
+    let start = node.data.partition_point(|(k, _)| *k < ilo);
+    node.data[start..]
+        .iter()
+        .take_while(|(k, _)| *k <= ihi)
+        .count()
 }
 
 /// Extracts the pairs with internal keys in `[ilo, ihi]` from a collected

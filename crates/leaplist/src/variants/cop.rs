@@ -6,7 +6,7 @@
 //! range queries / lookups behave the same, so the evaluation isolates the
 //! cost of transactional writes.
 
-use crate::node::internal_key;
+use crate::node::{internal_key, Node};
 use crate::plan::{plan_remove, plan_update, RemovePlan, UpdatePlan};
 use crate::raw::RawLeapList;
 use crate::variants::common;
@@ -158,15 +158,32 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
         let guard = pin();
         let mut backoff = Backoff::new();
         loop {
-            let plans: Vec<Option<RemovePlan<V>>> = lists
+            // `Err` holds the node whose range lacks an absent key.
+            let plans: Vec<Result<RemovePlan<V>, *mut Node<V>>> = lists
                 .iter()
                 .zip(keys.iter())
-                // SAFETY: `guard` pins the epoch for the whole attempt.
-                .map(|(l, k)| unsafe { plan_remove(&l.raw, internal_key(*k)) })
+                .map(|(l, k)| {
+                    // SAFETY: `guard` pins the epoch for the whole attempt.
+                    unsafe { plan_remove(&l.raw, internal_key(*k)) }.map_err(|w| w.target())
+                })
                 .collect();
             let mut tx = Txn::begin(&first.domain);
             let done: TxResult<()> = (|| {
-                for plan in plans.iter().flatten() {
+                for plan in &plans {
+                    let plan = match plan {
+                        Ok(p) => p,
+                        Err(n) => {
+                            // An absent key stays absent while the node
+                            // whose range holds it is live: re-check it
+                            // in this commit, or a racing insert tears
+                            // the composite result.
+                            // SAFETY: the node is protected by `guard`.
+                            if !tx.read(unsafe { &(**n).live })? {
+                                return Err(tx.explicit_abort());
+                            }
+                            continue;
+                        }
+                    };
                     // SAFETY: plan pointers are protected by `guard`.
                     let v = unsafe { common::validate_remove(&mut tx, plan) }?;
                     // SAFETY: plan nodes are unpublished (exclusive); window
@@ -179,8 +196,8 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
                 let mut out = Vec::with_capacity(plans.len());
                 for plan in &plans {
                     match plan {
-                        None => out.push(None),
-                        Some(p) => {
+                        Err(_) => out.push(None),
+                        Ok(p) => {
                             p.mark_published();
                             // SAFETY: the committed swing unlinked `n0`; the
                             // grace period covers in-flight readers.
@@ -253,7 +270,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListCop<V> {
             let w = unsafe { self.raw.search_predecessors(ilo) };
             let mut tx = Txn::begin(&self.domain);
             // SAFETY: validated collect under `_guard`.
-            let nodes = unsafe { common::collect_range(&mut tx, w.target(), ihi) };
+            let nodes = unsafe { common::collect_range(&mut tx, w.target(), ilo, ihi, usize::MAX) };
             if let Ok(nodes) = nodes {
                 if tx.commit().is_ok() {
                     // SAFETY: nodes captured by validated reads, still under

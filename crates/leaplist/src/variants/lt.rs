@@ -6,7 +6,7 @@
 //! all. Range queries execute one instrumented access per node, i.e. per
 //! `K` keys.
 
-use crate::node::{internal_key, Node};
+use crate::node::{internal_key, public_key, Node};
 use crate::plan::{plan_multi, ListOp, MultiUpdatePlan};
 use crate::raw::RawLeapList;
 use crate::variants::common;
@@ -277,6 +277,13 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
                         // SAFETY: plan pointers are protected by `guard`.
                         validated.push(unsafe { common::validate_segment(&mut tx, seg) }?);
                     }
+                    // Runs only absent-key removes hit are validated too
+                    // (never marked), so their absences hold at this
+                    // commit: otherwise a racing insert tears the result.
+                    for seg in &plan.reads {
+                        // SAFETY: plan pointers are protected by `guard`.
+                        unsafe { common::validate_segment(&mut tx, seg) }?;
+                    }
                 }
                 let mut v = validated.iter();
                 for plan in &plans {
@@ -291,10 +298,11 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
                 Ok(())
             })();
             // Register as wiring *before* the commit can bump the clock:
-            // while the ticket is live, no snapshot can pin a timestamp
-            // at-or-past this commit's `wv`, so the post-commit pointer
-            // surgery and bundle stamping below are invisible to every
-            // pinnable snapshot. The ticket drops on every exit path.
+            // while the ticket is live, a snapshot pinning a timestamp
+            // at-or-past this commit's `wv` waits for it, so the
+            // post-commit pointer surgery and bundle stamping below are
+            // invisible to every snapshot. The ticket drops on every exit
+            // path.
             let ticket = self.domain.begin_wiring();
             if acquired.is_ok() {
                 if let Ok(wv) = tx.commit_stamped() {
@@ -380,66 +388,36 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
     ///
     /// Panics if `hi == u64::MAX`.
     pub fn range_query(&self, lo: u64, hi: u64) -> Vec<(u64, V)> {
-        Self::range_query_group(&[self], &[(lo, hi)])
-            .pop()
-            // INVARIANT: one input list/op produces exactly one result entry.
-            .expect("one list yields one result")
-    }
-
-    /// Linearizable **multi-list** range query: collects `ranges[j]` over
-    /// `lists[j]` with every node-chain walk inside **one** transaction on
-    /// the shared domain, so the combined result is a single consistent
-    /// snapshot across all lists. This is the group-snapshot primitive a
-    /// sharded store needs: a cross-shard range assembled from per-shard
-    /// snapshots taken at one linearization point can never observe half
-    /// of a committed multi-list batch.
-    ///
-    /// `ranges[j] = (lo, hi)` is inclusive; an inverted range yields an
-    /// empty vector for that list. The same list may appear more than once
-    /// (the query is read-only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length, the group is empty, any
-    /// `hi == u64::MAX`, or the lists do not share one domain.
-    pub fn range_query_group(lists: &[&Self], ranges: &[(u64, u64)]) -> Vec<Vec<(u64, V)>> {
-        Self::group_snapshot(
-            lists,
-            ranges,
-            // SAFETY: node pointers are guard-protected by `group_snapshot`
-            // for the closure's whole call.
-            |tx, start, _ilo, ihi| unsafe { common::collect_range(tx, start, ihi) },
+        self.read_tx(
+            lo,
+            hi,
+            // SAFETY: node pointers are guard-protected by `read_tx` for
+            // the closure's whole call.
+            |tx, start, ilo, ihi| unsafe { common::collect_range(tx, start, ilo, ihi, usize::MAX) },
             // SAFETY: as above; `extract` only sees nodes `collect` captured.
             |nodes, ilo, ihi| unsafe { common::extract_pairs(&nodes, ilo, ihi) },
         )
     }
 
-    /// A bounded **page** of a linearizable multi-list range query: like
-    /// [`LeapListLt::range_query_group`] but each list yields at most
-    /// `limit` pairs, and the transactional walk stops as soon as the page
-    /// is full — a page over a million-key range costs `O(limit / K)`
-    /// instrumented node accesses per list, not `O(range / K)`. The caller
-    /// resumes from `last_key + 1`; each page is its own consistent
-    /// snapshot (the cursor contract a store scan needs).
+    /// A bounded **page** of a linearizable range query: at most `limit`
+    /// pairs with keys in `[lo, hi]`, ascending, and the transactional
+    /// walk stops as soon as the page is full — a page over a million-key
+    /// range costs `O(limit / K)` instrumented node accesses, not
+    /// `O(range / K)`. The caller resumes from `last_key + 1`; each page
+    /// is its own consistent snapshot.
     ///
     /// # Panics
     ///
-    /// As for [`LeapListLt::range_query_group`], plus if `limit` is zero
-    /// (an empty page cannot carry a resume key).
-    pub fn range_page_group(
-        lists: &[&Self],
-        ranges: &[(u64, u64)],
-        limit: usize,
-    ) -> Vec<Vec<(u64, V)>> {
+    /// Panics if `hi == u64::MAX` or `limit` is zero (an empty page cannot
+    /// carry a resume key).
+    pub fn range_page(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)> {
         assert!(limit > 0, "a page must hold at least one pair");
-        Self::group_snapshot(
-            lists,
-            ranges,
-            // SAFETY: node pointers are guard-protected by `group_snapshot`
-            // for the closure's whole call.
-            |tx, start, ilo, ihi| unsafe {
-                common::collect_range_bounded(tx, start, ilo, ihi, limit)
-            },
+        self.read_tx(
+            lo,
+            hi,
+            // SAFETY: node pointers are guard-protected by `read_tx` for
+            // the closure's whole call.
+            |tx, start, ilo, ihi| unsafe { common::collect_range(tx, start, ilo, ihi, limit) },
             |nodes, ilo, ihi| {
                 // SAFETY: as above; only nodes `collect` captured.
                 let mut pairs = unsafe { common::extract_pairs(&nodes, ilo, ihi) };
@@ -449,113 +427,74 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
         )
     }
 
-    /// Single-list page: up to `limit` pairs with keys in `[lo, hi]`,
-    /// ascending, from one consistent snapshot. See
-    /// [`LeapListLt::range_page_group`].
+    /// Number of keys in `[lo, hi]` from one consistent snapshot, without
+    /// cloning any values.
     ///
     /// # Panics
     ///
-    /// Panics if `hi == u64::MAX` or `limit` is zero.
-    pub fn range_page(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)> {
-        Self::range_page_group(&[self], &[(lo, hi)], limit)
-            .pop()
-            // INVARIANT: one input list/op produces exactly one result entry.
-            .expect("one list yields one result")
-    }
-
-    /// Like [`LeapListLt::range_query_group`] but returns only the number
-    /// of pairs per list: the count accumulates inside the transactional
-    /// walk itself — no value clones and no node buffer.
-    ///
-    /// # Panics
-    ///
-    /// As for [`LeapListLt::range_query_group`].
-    pub fn count_range_group(lists: &[&Self], ranges: &[(u64, u64)]) -> Vec<usize> {
-        Self::group_snapshot(
-            lists,
-            ranges,
-            // SAFETY: node pointers are guard-protected by `group_snapshot`
-            // for the closure's whole call.
-            |tx, start, ilo, ihi| unsafe { common::count_range_tx(tx, start, ilo, ihi) },
-            |count, _, _| count,
+    /// Panics if `hi == u64::MAX`.
+    pub fn count_range(&self, lo: u64, hi: u64) -> usize {
+        self.read_tx(
+            lo,
+            hi,
+            // SAFETY: node pointers are guard-protected by `read_tx` for
+            // the closure's whole call.
+            |tx, start, ilo, ihi| unsafe { common::collect_range(tx, start, ilo, ihi, usize::MAX) },
+            |nodes, ilo, ihi| {
+                nodes
+                    .iter()
+                    // SAFETY: as above; only nodes `collect` captured.
+                    .map(|&n| common::pairs_in(unsafe { &*n }, ilo, ihi))
+                    .sum()
+            },
         )
     }
 
-    /// Shared engine of the group queries: run `collect` over every list
-    /// inside one transaction (its commit is the snapshot's linearization
-    /// point), then map each list's collected state through `extract`,
-    /// still under the epoch guard. Arguments after the transaction /
-    /// start node are `(ilo, ihi)` in internal-key space; `collect` must
-    /// only traverse validated pointers and `extract` must only
-    /// dereference nodes `collect` captured.
-    fn group_snapshot<C, R: Default>(
-        lists: &[&Self],
-        ranges: &[(u64, u64)],
+    /// Shared engine of the transactional reads: run `collect` from the
+    /// node holding `lo` inside one transaction (its commit is the read's
+    /// linearization point), then map the collected state through
+    /// `extract`, still under the epoch guard. Arguments after the
+    /// transaction / start node are `(ilo, ihi)` in internal-key space;
+    /// `collect` must only traverse validated pointers and `extract` must
+    /// only dereference nodes `collect` captured. An inverted range yields
+    /// `R::default()`.
+    fn read_tx<C, R: Default>(
+        &self,
+        lo: u64,
+        hi: u64,
         collect: impl for<'t> Fn(&mut Txn<'t>, *mut Node<V>, u64, u64) -> TxResult<C>,
         extract: impl Fn(C, u64, u64) -> R,
-    ) -> Vec<R> {
-        assert_eq!(lists.len(), ranges.len());
-        // INVARIANT: documented panic — an empty group is a caller bug.
-        let first = lists.first().expect("group must be non-empty");
-        for l in lists {
-            assert!(
-                Arc::ptr_eq(&l.domain, &first.domain),
-                "grouped lists must share one StmDomain"
-            );
+    ) -> R {
+        assert!(hi < u64::MAX, "key u64::MAX is reserved");
+        if lo > hi {
+            return R::default();
         }
-        for (_, hi) in ranges {
-            assert!(*hi < u64::MAX, "key u64::MAX is reserved");
-        }
+        let (ilo, ihi) = (internal_key(lo), internal_key(hi));
         let _guard = pin();
         let mut backoff = Backoff::new();
         loop {
-            // COP prefix: uninstrumented predecessor search per list.
-            let starts: Vec<Option<(*mut Node<V>, u64, u64)>> = lists
-                .iter()
-                .zip(ranges.iter())
-                .map(|(l, &(lo, hi))| {
-                    if lo > hi {
-                        return None;
+            // COP prefix: uninstrumented predecessor search.
+            // SAFETY: `_guard` pins the epoch for the whole loop.
+            let start = unsafe { self.raw.search_predecessors(ilo) }.target();
+            let mut tx = Txn::begin(&self.domain);
+            match collect(&mut tx, start, ilo, ihi) {
+                Ok(c) => {
+                    if tx.commit().is_ok() {
+                        record_commit(&self.domain, &backoff);
+                        return extract(c, ilo, ihi);
                     }
-                    let (ilo, ihi) = (internal_key(lo), internal_key(hi));
-                    // SAFETY: `_guard` pins the epoch for the whole loop.
-                    let w = unsafe { l.raw.search_predecessors(ilo) };
-                    Some((w.target(), ilo, ihi))
-                })
-                .collect();
-            // One transaction validates every list's node chain; its commit
-            // is the snapshot's linearization point.
-            let mut tx = Txn::begin(&first.domain);
-            let collected: TxResult<Vec<Option<C>>> = starts
-                .iter()
-                .map(|s| match s {
-                    None => Ok(None),
-                    Some((start, ilo, ihi)) => collect(&mut tx, *start, *ilo, *ihi).map(Some),
-                })
-                .collect();
-            if let Ok(per_list) = collected {
-                if tx.commit().is_ok() {
-                    record_commit(&first.domain, &backoff);
-                    return per_list
-                        .into_iter()
-                        .zip(starts.iter())
-                        .map(|(c, s)| match (c, s) {
-                            (Some(c), Some((_, ilo, ihi))) => extract(c, *ilo, *ihi),
-                            _ => R::default(),
-                        })
-                        .collect();
                 }
-            } else {
-                drop(tx);
+                Err(_) => drop(tx),
             }
             backoff.snooze();
         }
     }
 
-    /// Pins a snapshot of every list sharing this list's domain: the
-    /// returned handle carries a snapshot timestamp (the newest fully
-    /// wired commit) and, while live, keeps every version visible at it
-    /// traversable — bundle pruning and node reclamation both respect it.
+    /// Pins a linearizable snapshot of every list sharing this list's
+    /// domain: the returned handle carries a snapshot timestamp (the clock
+    /// at pin time, every commit at-or-below it fully wired) and, while
+    /// live, keeps every version visible at it traversable — bundle
+    /// pruning and node reclamation both respect it.
     ///
     /// See [`ListSnapshot`] for the read API and the cost of holding one.
     pub fn pin_snapshot(&self) -> ListSnapshot {
@@ -603,18 +542,46 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
         limit: usize,
         out: &mut Vec<(u64, V)>,
     ) {
+        assert!(limit > 0, "a page must hold at least one pair");
+        self.snapshot_walk(snap, lo, hi, limit, |pairs| {
+            out.extend(pairs.iter().map(|(k, v)| (public_key(*k), v.clone())));
+        });
+    }
+
+    /// Number of keys in `[lo, hi]` **as of the snapshot's timestamp**:
+    /// the same bundle walk as [`LeapListLt::snapshot_page`], counting
+    /// node slices instead of cloning them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot was pinned on a different domain or if
+    /// `hi == u64::MAX`.
+    pub fn snapshot_count(&self, snap: &ListSnapshot, lo: u64, hi: u64) -> usize {
+        self.snapshot_walk(snap, lo, hi, usize::MAX, |_| {})
+    }
+
+    /// The one snapshot read path: feeds up to `limit` in-range node
+    /// slices (internal keys) at `snap`'s timestamp to `sink`; returns how
+    /// many pairs it fed.
+    fn snapshot_walk(
+        &self,
+        snap: &ListSnapshot,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+        sink: impl FnMut(&[(u64, V)]),
+    ) -> usize {
         assert!(
             snap.pin.pinned_on(&self.domain),
             "snapshot was pinned on a different StmDomain"
         );
         assert!(hi < u64::MAX, "key u64::MAX is reserved");
-        assert!(limit > 0, "a page must hold at least one pair");
         if lo > hi {
-            return;
+            return 0;
         }
         // SAFETY: `snap` pinned its epoch guard before its timestamp (see
-        // `ListSnapshot::pin`), and its SnapshotPin keeps the prune bound
-        // at-or-below `ts` — exactly `snapshot_collect`'s contract.
+        // `ListSnapshot::pin`), and its live SnapshotPin came from this
+        // domain — exactly `snapshot_collect`'s contract.
         unsafe {
             crate::bundle::snapshot_collect(
                 &self.raw,
@@ -622,8 +589,8 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
                 internal_key(lo),
                 internal_key(hi),
                 limit,
-                out,
-            );
+                sink,
+            )
         }
     }
 
@@ -644,129 +611,39 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
         self.lookup(key).is_some()
     }
 
-    /// Number of keys in `[lo, hi]` from one consistent snapshot, without
-    /// cloning any values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hi == u64::MAX`.
-    pub fn count_range(&self, lo: u64, hi: u64) -> usize {
-        Self::count_range_group(&[self], &[(lo, hi)])
-            .pop()
-            // INVARIANT: one input list/op produces exactly one result entry.
-            .expect("one list yields one result")
-    }
-
-    /// The smallest key and its value, from a consistent snapshot.
+    /// The smallest key and its value, from a linearizable snapshot (one
+    /// bundle walk that stops at the first key).
     pub fn first_key_value(&self) -> Option<(u64, V)> {
-        // Smallest possible range start: collect nodes from the first one
-        // until a non-empty node appears, all inside one transaction.
-        let _guard = pin();
-        let mut backoff = Backoff::new();
-        loop {
-            // SAFETY: `_guard` pins the epoch for the whole iteration.
-            let w = unsafe { self.raw.search_predecessors(1) };
-            let mut tx = Txn::begin(&self.domain);
-            let found: leap_stm::TxResult<Option<(u64, V)>> = (|| {
-                let mut n = w.target();
-                loop {
-                    // SAFETY: reached under guard via validated reads.
-                    let node = unsafe { &*n };
-                    if !tx.read(&node.live)? {
-                        return Err(tx.explicit_abort());
-                    }
-                    if let Some((k, v)) = node.data.first() {
-                        return Ok(Some((crate::node::public_key(*k), v.clone())));
-                    }
-                    if node.high == u64::MAX {
-                        return Ok(None);
-                    }
-                    let s = tx.read(&node.next[0])?;
-                    n = s.unmarked().as_ptr();
-                }
-            })();
-            if let Ok(r) = found {
-                if tx.commit().is_ok() {
-                    record_commit(&self.domain, &backoff);
-                    return r;
-                }
-            } else {
-                drop(tx);
-            }
-            backoff.snooze();
-        }
+        let snap = self.pin_snapshot();
+        let mut first = None;
+        self.snapshot_walk(&snap, 0, u64::MAX - 1, 1, |pairs| {
+            first = pairs.first().map(|(k, v)| (public_key(*k), v.clone()));
+        });
+        first
     }
 
-    /// The largest key and its value, from a consistent snapshot.
+    /// The largest key and its value, from a linearizable snapshot.
     ///
-    /// Walks the bottom level from the predecessor of +inf, so it is O(1)
-    /// expected (the last node), falling back to a scan when trailing
-    /// nodes are empty.
+    /// The bundle walk starts at the live tail node's smallest key, which
+    /// usually bounds the answer from below, so it covers one node; an
+    /// empty suffix at the snapshot falls back to a walk of the whole
+    /// list.
     pub fn last_key_value(&self) -> Option<(u64, V)> {
-        // Simplest consistent implementation: snapshot the full range and
-        // take the maximum of the trailing non-empty node. The collect
-        // walks from the node containing the largest real key.
-        let _guard = pin();
-        let mut backoff = Backoff::new();
-        loop {
-            // Predecessor window of the +inf sentinel: pa[0] is the last
-            // node with high < MAX. Its keys (or an earlier node's, if
-            // it is empty) are the largest — but emptiness forces a
-            // restart from the head for simplicity.
-            // SAFETY: `_guard` pins the epoch for the whole iteration.
-            let w = unsafe { self.raw.search_predecessors(u64::MAX) };
-            let mut tx = Txn::begin(&self.domain);
-            let found: leap_stm::TxResult<Option<(u64, V)>> = (|| {
-                // The tail (high == +inf) holds the largest keys when it
-                // is non-empty; otherwise its predecessor does. Validate
-                // both nodes and their adjacency so the answer is a
-                // consistent snapshot.
-                // SAFETY: search result under `_guard`; liveness is
-                // validated transactionally right below.
-                let tail = unsafe { &*w.target() };
-                if !tx.read(&tail.live)? {
-                    return Err(tx.explicit_abort());
+        let snap = self.pin_snapshot();
+        // SAFETY: `snap` keeps this thread's epoch pinned for the search
+        // and the read of the (immutable) tail data.
+        let tail = unsafe { &*self.raw.search_predecessors(u64::MAX).target() };
+        let from = tail.data.first().map_or(0, |(k, _)| public_key(*k));
+        let last_from = |lo: u64| {
+            let mut last = None;
+            self.snapshot_walk(&snap, lo, u64::MAX - 1, usize::MAX, |pairs| {
+                if let Some((k, v)) = pairs.last() {
+                    last = Some((public_key(*k), v.clone()));
                 }
-                if let Some((k, v)) = tail.data.last() {
-                    return Ok(Some((crate::node::public_key(*k), v.clone())));
-                }
-                // SAFETY: predecessor-window node under `_guard`.
-                let prev = unsafe { &*w.pa[0] };
-                if !tx.read(&prev.live)? {
-                    return Err(tx.explicit_abort());
-                }
-                let link = tx.read(&prev.next[0])?;
-                if link.is_marked() || link.as_ptr() != w.target() {
-                    return Err(tx.explicit_abort());
-                }
-                if let Some((k, v)) = prev.data.last() {
-                    return Ok(Some((crate::node::public_key(*k), v.clone())));
-                }
-                // Both trailing nodes empty: fall back to a full snapshot
-                // scan (rare — only after removals emptied the tail region).
-                // SAFETY: fallback search under `_guard`.
-                let head_w = unsafe { self.raw.search_predecessors(1) };
-                // SAFETY: validated collect, also under `_guard`.
-                let nodes = unsafe { common::collect_range(&mut tx, head_w.target(), u64::MAX) }?;
-                for &n in nodes.iter().rev() {
-                    // SAFETY: node captured by the validated collect above,
-                    // still under `_guard`; `data` is immutable.
-                    if let Some((k, v)) = unsafe { &*n }.data.last() {
-                        return Ok(Some((crate::node::public_key(*k), v.clone())));
-                    }
-                }
-                Ok(None)
-            })();
-            if let Ok(r) = found {
-                if tx.commit().is_ok() {
-                    record_commit(&self.domain, &backoff);
-                    return r;
-                }
-            } else {
-                drop(tx);
-            }
-            backoff.snooze();
-        }
+            });
+            last
+        };
+        last_from(from).or_else(|| last_from(0))
     }
 
     /// Approximate number of keys (naked walk; exact when quiescent).
@@ -795,7 +672,12 @@ impl<V: Clone + Send + Sync + 'static> LeapListLt<V> {
 /// A pinned, multi-list snapshot over one [`StmDomain`]: every
 /// [`LeapListLt::snapshot_page`] taken through it — across any lists of
 /// the domain — observes exactly the commits at-or-before
-/// [`ListSnapshot::ts`], the newest fully wired commit at pin time.
+/// [`ListSnapshot::ts`], the domain clock read at pin time.
+///
+/// The snapshot is **linearizable**, not merely snapshot-isolated: the
+/// pin waits out every commit at-or-below its timestamp that is still
+/// wiring ([`StmDomain::pin_snapshot`]), so it holds every commit that
+/// finished before the pin began and none that started after it ended.
 ///
 /// **Cost of holding one:** while the snapshot is live, (a) version
 /// bundles retain one entry per covered commit (bounded memory per write),
@@ -948,22 +830,28 @@ mod tests {
 
     #[test]
     fn group_range_query_spans_lists() {
+        // One snapshot read across the lists of a domain: the store's
+        // cross-shard range.
         let lists = LeapListLt::<u64>::group(3, small());
         for (i, l) in lists.iter().enumerate() {
             for k in 0..10u64 {
                 l.update(k + i as u64 * 100, k);
             }
         }
-        let refs: Vec<&LeapListLt<u64>> = lists.iter().collect();
-        let out = LeapListLt::range_query_group(&refs, &[(0, 5), (100, 105), (300, 400)]);
-        assert_eq!(out[0], (0..=5).map(|k| (k, k)).collect::<Vec<_>>());
-        assert_eq!(out[1].len(), 6);
-        assert!(out[2].is_empty(), "list 2 holds 200..209 only");
-        // Inverted ranges are empty; duplicates of one list are allowed.
-        let out = LeapListLt::range_query_group(&refs[..2], &[(5, 0), (201, 200)]);
-        assert!(out[0].is_empty() && out[1].is_empty());
-        let dup = LeapListLt::range_query_group(&[&lists[0], &lists[0]], &[(0, 2), (3, 5)]);
-        assert_eq!(dup[0].len() + dup[1].len(), 6);
+        let snap = lists[0].pin_snapshot();
+        let page = |l: &LeapListLt<u64>, lo, hi| l.snapshot_page(&snap, lo, hi, usize::MAX);
+        assert_eq!(
+            page(&lists[0], 0, 5),
+            (0..=5).map(|k| (k, k)).collect::<Vec<_>>()
+        );
+        assert_eq!(page(&lists[1], 100, 105).len(), 6);
+        assert!(
+            page(&lists[2], 300, 400).is_empty(),
+            "list 2 holds 200..209 only"
+        );
+        // Inverted ranges are empty; one list may be read twice.
+        assert!(page(&lists[0], 5, 0).is_empty() && page(&lists[1], 201, 200).is_empty());
+        assert_eq!(page(&lists[0], 0, 2).len() + page(&lists[0], 3, 5).len(), 6);
     }
 
     #[test]
@@ -973,12 +861,25 @@ mod tests {
             lists[0].update(k, k);
             lists[1].update(k * 2, k);
         }
-        let refs: Vec<&LeapListLt<u64>> = lists.iter().collect();
+        let snap = lists[0].pin_snapshot();
         let ranges = [(5, 20), (40, 10)];
-        let pairs = LeapListLt::range_query_group(&refs, &ranges);
-        let counts = LeapListLt::count_range_group(&refs, &ranges);
-        assert_eq!(counts, vec![pairs[0].len(), pairs[1].len()]);
+        let counts: Vec<usize> = lists
+            .iter()
+            .zip(ranges)
+            .map(|(l, (lo, hi))| l.snapshot_count(&snap, lo, hi))
+            .collect();
         assert_eq!(counts, vec![16, 0], "inverted range counts zero");
+        assert_eq!(
+            counts[0],
+            lists[0].snapshot_page(&snap, 5, 20, usize::MAX).len()
+        );
+        // The transactional single-list count agrees.
+        assert_eq!(
+            lists[0].count_range(5, 20),
+            lists[0].range_query(5, 20).len()
+        );
+        assert_eq!(lists[1].count_range(0, 30), 16);
+        assert_eq!(lists[1].count_range(40, 10), 0);
     }
 
     #[test]
@@ -1001,17 +902,6 @@ mod tests {
         // A page over a huge range still returns promptly and bounded.
         assert_eq!(l.range_page(0, u64::MAX - 1, 3).len(), 3);
         assert_eq!(l.range_page(50, 40, 5), vec![], "inverted range is empty");
-        // Group form: per-list limits apply independently.
-        let lists = LeapListLt::<u64>::group(2, small());
-        for k in 0..20u64 {
-            lists[0].update(k, k);
-            lists[1].update(k + 100, k);
-        }
-        let refs: Vec<&LeapListLt<u64>> = lists.iter().collect();
-        let pages = LeapListLt::range_page_group(&refs, &[(0, 99), (0, 999)], 4);
-        assert_eq!(pages[0].len(), 4);
-        assert_eq!(pages[1].len(), 4);
-        assert_eq!(pages[1][0].0, 100);
     }
 
     #[test]
@@ -1113,14 +1003,6 @@ mod tests {
         let out = LeapListLt::apply_batch_grouped(&refs, &[&g0, &g1]);
         assert_eq!(out, vec![vec![None], vec![]]);
         assert_eq!(lists[0].lookup(1), Some(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "share one StmDomain")]
-    fn group_range_rejects_foreign_domains() {
-        let a: LeapListLt<u64> = LeapListLt::new(small());
-        let b: LeapListLt<u64> = LeapListLt::new(small());
-        LeapListLt::range_query_group(&[&a, &b], &[(0, 1), (0, 1)]);
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListRwlock<V> {
         let raw = self.inner.write();
         // SAFETY: as in `update`.
         unsafe {
-            let plan = plan_remove(&raw, internal_key(key))?;
+            let plan = plan_remove(&raw, internal_key(key)).ok()?;
             wire_remove(&plan);
             free_node(plan.n0);
             if plan.merge {
@@ -126,7 +126,7 @@ impl<V: Clone + Send + Sync + 'static> LeapListRwlock<V> {
                 // SAFETY: all write locks held.
                 unsafe {
                     let raw = &*l.inner.data_ptr();
-                    let plan = plan_remove(raw, internal_key(*k))?;
+                    let plan = plan_remove(raw, internal_key(*k)).ok()?;
                     wire_remove(&plan);
                     free_node(plan.n0);
                     if plan.merge {

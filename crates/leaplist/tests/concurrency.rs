@@ -332,3 +332,81 @@ fn lt_snapshot_pages_mirror_across_lists_under_batch_churn() {
     stop.store(true, Ordering::Relaxed);
     writer.join().unwrap();
 }
+
+/// The paper's composite `Update`/`Remove` over four lists is one
+/// linearizable action, so the previous values it returns are whole: all
+/// `None`, or all `Some` of one writer's stamp. Two threads race
+/// `update_batch`/`remove_batch` over a few hot key tuples (one key per
+/// list). A remove that finds some of its keys absent must still
+/// validate those absences in its commit; otherwise a racing insert
+/// lands between its plan and its commit and the result comes back torn.
+type UpdateBatch<L> = fn(&[&L], &[u64], &[u64]) -> Vec<Option<u64>>;
+
+fn composite_results_are_never_torn<L: Send + Sync + 'static>(
+    lists: Vec<L>,
+    update: UpdateBatch<L>,
+    remove: fn(&[&L], &[u64]) -> Vec<Option<u64>>,
+) {
+    let lists = Arc::new(lists);
+    let handles: Vec<_> = (0..2u64)
+        .map(|t| {
+            let lists = lists.clone();
+            std::thread::spawn(move || {
+                let refs: Vec<&L> = lists.iter().collect();
+                let mut rng = 0x5EED_u64 + t * 7_919;
+                let mut torn = Vec::new();
+                // The race needs many calls to show; unoptimized builds
+                // only smoke it.
+                let calls = if cfg!(debug_assertions) {
+                    10_000
+                } else {
+                    100_000
+                };
+                for i in 0..calls {
+                    let r = xorshift(&mut rng);
+                    let k = r % 8;
+                    let keys = [k, k + 100, k + 200, k + 300];
+                    let prev = if r & 0x100 == 0 {
+                        update(&refs, &keys, &[(i << 1) | t; 4])
+                    } else {
+                        remove(&refs, &keys)
+                    };
+                    let whole = prev.iter().all(|p| p.is_none())
+                        || prev.iter().all(|p| p.is_some() && *p == prev[0]);
+                    if !whole {
+                        torn.push(prev);
+                    }
+                }
+                torn
+            })
+        })
+        .collect();
+    let torn: Vec<Vec<Option<u64>>> = handles
+        .into_iter()
+        .flat_map(|h| h.join().unwrap())
+        .collect();
+    assert!(
+        torn.is_empty(),
+        "{} torn composite results, e.g. {:?}",
+        torn.len(),
+        &torn[..torn.len().min(4)]
+    );
+}
+
+#[test]
+fn lt_composite_results_are_never_torn() {
+    composite_results_are_never_torn(
+        LeapListLt::group(4, small_params()),
+        LeapListLt::update_batch,
+        LeapListLt::remove_batch,
+    );
+}
+
+#[test]
+fn cop_composite_results_are_never_torn() {
+    composite_results_are_never_torn(
+        LeapListCop::group(4, small_params()),
+        LeapListCop::update_batch,
+        LeapListCop::remove_batch,
+    );
+}

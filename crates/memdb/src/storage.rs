@@ -16,10 +16,10 @@
 //!   the primary shard and every affected index shard, **even while a
 //!   migration is resharding the very keys it touches**. Index scans run
 //!   over the subspace's key interval; the paged variant routes through
-//!   [`LeapStore::scan`]'s `Cursor`, and the snapshot-isolated variant
+//!   [`LeapStore::scan`]'s `Cursor`, and the pinned-snapshot variant
 //!   through [`LeapStore::scan_snapshot`]'s `SnapshotCursor`.
 //!
-//! Both backends additionally serve **snapshot-isolated paged scans**
+//! Both backends additionally serve **linearizable snapshot scans**
 //! ([`TableStorage::snapshot_pages`]): the commit timestamp is pinned
 //! once when the scan starts, and every page reads the index's version
 //! bundles exactly as of that instant — retry-free under concurrent
@@ -85,15 +85,15 @@ pub(crate) trait TableStorage: Send + Sync {
     fn scan(&self, subspace: usize, lo: u64, hi: u64) -> Vec<(u64, Row)>;
 
     /// The first at-most-`limit` pairs of `[lo, hi]` in one subspace —
-    /// one bounded linearizable transaction (the engine under the
-    /// table's paged scans).
+    /// one bounded linearizable read (the engine under the table's paged
+    /// scans).
     fn scan_page(&self, subspace: usize, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Row)>;
 
     /// Number of keys in `[lo, hi]` of one subspace (consistent
     /// snapshot, no row clones).
     fn count(&self, subspace: usize, lo: u64, hi: u64) -> usize;
 
-    /// A **snapshot-isolated** paged scan of `[lo, hi]` in one subspace:
+    /// A **linearizable** snapshot scan of `[lo, hi]` in one subspace:
     /// the global commit timestamp is pinned here, once, and every page —
     /// first and last alike — reads the subspace exactly as of that
     /// instant from the lists' version bundles, untouched by commits that
@@ -116,7 +116,7 @@ pub(crate) trait TableStorage: Send + Sync {
     }
 }
 
-/// One subspace's snapshot-isolated paged scan, pinned to one commit
+/// One subspace's pinned-snapshot paged scan, pinned to one commit
 /// timestamp (see [`TableStorage::snapshot_pages`]). Holds an epoch guard
 /// and a timestamp pin for its whole lifetime, so drop it promptly.
 pub(crate) trait SnapshotPages {
@@ -233,7 +233,7 @@ impl TableStorage for RawListStorage {
     }
 
     fn count(&self, subspace: usize, lo: u64, hi: u64) -> usize {
-        LeapListLt::count_range_group(&[&self.lists[subspace]], &[(lo, hi)])[0]
+        self.lists[subspace].count_range(lo, hi)
     }
 
     fn snapshot_pages<'a>(
@@ -331,7 +331,7 @@ impl TableStorage for ShardedStorage {
     fn scan_page(&self, subspace: usize, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Row)> {
         let ss = self.tags[subspace];
         // Route through the store's paged Cursor: one bounded
-        // linearizable transaction for this page.
+        // linearizable snapshot read for this page.
         self.store
             .scan_pages(ss.key(lo), ss.key(hi), limit)
             .next()

@@ -377,7 +377,7 @@ impl Table {
     }
 
     /// A paged scan over the index on `column`: each page is one bounded
-    /// linearizable transaction of at most `page_size` rows with a resume
+    /// linearizable read of at most `page_size` rows with a resume
     /// key (on the sharded backend this routes through
     /// [`LeapStore::scan`]'s `Cursor`). Between pages the table runs
     /// free, so each page is internally consistent but different pages
@@ -411,7 +411,7 @@ impl Table {
         })
     }
 
-    /// A **snapshot-isolated** paged scan over the index on `column`:
+    /// A **linearizable** snapshot scan over the index on `column`:
     /// this call pins the global commit timestamp once, and **every**
     /// page of the returned [`TableSnapshotScan`] reads the index exactly
     /// as of that instant — rows inserted, deleted, or moved between
@@ -521,7 +521,7 @@ impl Table {
 }
 
 /// A paged index scan (see [`Table::scan_by_pages`]): iterates pages of
-/// `(row id, row)`, each page one bounded linearizable transaction,
+/// `(row id, row)`, each page one bounded linearizable read,
 /// ordered by `(column value, row id)` across the whole scan.
 pub struct TableScan<'t> {
     table: &'t Table,
@@ -561,7 +561,7 @@ impl Iterator for TableScan<'_> {
     }
 }
 
-/// A snapshot-isolated paged index scan (see [`Table::scan_by_snapshot`]):
+/// A pinned-snapshot paged index scan (see [`Table::scan_by_snapshot`]):
 /// iterates pages of `(row id, row)` ordered by `(column value, row id)`,
 /// **every** page read at the one commit timestamp pinned when the scan
 /// was created.

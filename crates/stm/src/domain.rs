@@ -19,6 +19,10 @@ const REGISTRY_SLOTS: usize = 128;
 /// Registry slot value meaning "free".
 const SLOT_FREE: u64 = u64::MAX;
 
+/// Busy-wait rounds a [`StmDomain::pin_snapshot`] spends on an in-flight
+/// wirer before it starts yielding the CPU to it.
+const PIN_SPINS: u32 = 64;
+
 /// A fixed array of timestamp slots with CAS acquisition. Used twice: the
 /// *wiring* registry (writers publish the clock value they sampled before
 /// commit, for the duration of their post-commit wiring) and the
@@ -38,15 +42,15 @@ impl SlotRegistry {
     }
 
     /// Claims a free slot and stores `value` (SeqCst — see the ordering
-    /// proof on [`StmDomain::snapshot_ts`]). Spins while the registry is
-    /// full.
+    /// proofs on [`StmDomain::pin_snapshot`] and
+    /// [`StmDomain::prune_bound`]). Spins while the registry is full.
     fn acquire(&self, value: u64) -> usize {
         debug_assert_ne!(value, SLOT_FREE, "SLOT_FREE is reserved");
         loop {
             for (i, s) in self.slots.iter().enumerate() {
                 // ORDERING: the Relaxed load is an optimistic filter and the
                 // CAS failure value is discarded; the SeqCst success is the
-                // claim the snapshot_ts proof relies on.
+                // claim the pin and prune-bound proofs rely on.
                 if s.load(Ordering::Relaxed) == SLOT_FREE
                     // ORDERING: the CAS failure value is discarded (scan moves on).
                     && s.compare_exchange(SLOT_FREE, value, Ordering::SeqCst, Ordering::Relaxed)
@@ -257,10 +261,10 @@ impl StmDomain {
 
     #[inline]
     pub(crate) fn clock_bump(&self) -> u64 {
-        // SeqCst (not just AcqRel): the snapshot watermark's correctness
-        // argument places the bump in the single total order together with
-        // the wiring-slot stores and the reader's clock-then-slots loads —
-        // see `snapshot_ts`.
+        // SeqCst (not just AcqRel): the snapshot pin's correctness argument
+        // places the bump in the single total order together with the
+        // wiring-slot stores and the pin's clock-then-slots loads — see
+        // `pin_snapshot`.
         self.clock.fetch_add(1, Ordering::SeqCst) + 1
     }
 
@@ -268,53 +272,56 @@ impl StmDomain {
     /// whose structural effects (naked pointer swings, version-bundle
     /// stamps) are published after the commit itself. Call **before**
     /// [`Txn::commit`](crate::Txn::commit); drop the ticket only after
-    /// every post-commit store is done. While the ticket is live,
-    /// [`StmDomain::snapshot_ts`] stays below the commit's timestamp, so
-    /// no snapshot reader can observe the half-wired state.
+    /// every post-commit store is done. While the ticket is live, a
+    /// [`StmDomain::pin_snapshot`] whose timestamp reaches the commit's
+    /// waits for it, so no snapshot reader can observe the half-wired
+    /// state.
     pub fn begin_wiring(&self) -> WiringTicket<'_> {
         let idx = self.wiring.acquire(self.clock());
         WiringTicket { domain: self, idx }
     }
 
-    /// The newest timestamp at which every commit is **fully wired**: the
-    /// clock, held back below the commit timestamp of any writer still
-    /// inside its post-commit wiring window.
+    /// Pins a **linearizable** snapshot timestamp for the lifetime of the
+    /// returned guard: version-bundle pruning and retired-node reclamation
+    /// preserve everything visible at the pin's timestamp (and newer)
+    /// until the pin drops.
     ///
-    /// Correctness hinges on the load order — clock **first**, wiring
-    /// slots second, all SeqCst. Suppose a writer W with commit timestamp
-    /// `wv ≤ ts` were still wiring when this returned `ts`. W stored its
-    /// slot (holding `c`, the clock it sampled before commit, so
-    /// `c < wv`) before bumping the clock; the bump precedes our clock
-    /// load (we observed `wv`); the clock load precedes our slot scan. In
-    /// the SeqCst total order W's slot store therefore precedes our scan,
-    /// so we saw the slot occupied and returned `ts ≤ c < wv` — a
-    /// contradiction. (The reverse order — slots first — admits a racing
-    /// writer that registers and commits between the two loads and is
-    /// unsound.) The returned value is monotone non-decreasing.
-    pub fn snapshot_ts(&self) -> u64 {
-        let clk = self.clock();
-        match self.wiring.min_occupied() {
-            Some(c) => clk.min(c),
-            None => clk,
-        }
-    }
-
-    /// Pins a snapshot timestamp for the lifetime of the returned guard:
-    /// version-bundle pruning and retired-node reclamation will preserve
-    /// everything visible at the pin's timestamp (and newer) until the pin
-    /// drops. The timestamp is [`StmDomain::snapshot_ts`], sampled after
-    /// the pin is registered so a concurrent pruner can never slip past
-    /// it (the slot transiently holds 0 — maximally conservative — until
-    /// the real timestamp replaces it).
+    /// The pin claims its slot first (holding 0, maximally conservative,
+    /// so a concurrent pruner can never slip past it), then reads
+    /// `ts = clock()`, publishes `ts`, and finally waits until no wiring
+    /// slot holds a value below `ts` — the Bundled References read
+    /// protocol. Every commit with timestamp `wv <= ts` is then fully
+    /// wired: its writer stored its slot (a clock value `c < wv`) before
+    /// the commit bumped the clock to `wv`, the bump precedes our clock
+    /// read, and the read precedes our slot scans, all SeqCst — so each
+    /// scan sees that slot occupied (holding `c < ts`) until the ticket
+    /// drops. A wirer that registers after our clock read samples a clock
+    /// `>= ts` and is never waited for, which bounds the wait by the
+    /// wiring window of commits already in flight. The snapshot at `ts`
+    /// therefore holds exactly the commits that precede the clock read in
+    /// real time: scans taken through it are linearizable, not merely
+    /// snapshot-isolated.
     pub fn pin_snapshot(self: &Arc<Self>) -> SnapshotPin {
         let idx = self.pins.acquire(0);
-        let ts = self.snapshot_ts();
+        let ts = self.clock();
         self.pins.set(idx, ts);
-        SnapshotPin {
+        // Owned before the wait so an unwind releases the slot.
+        let pin = SnapshotPin {
             domain: self.clone(),
             idx,
             ts,
+        };
+        let mut spins = 0u32;
+        while self.wiring.min_occupied().is_some_and(|c| c < ts) {
+            if spins < PIN_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                // A wirer below `ts` was descheduled mid-window: let it run.
+                std::thread::yield_now();
+            }
         }
+        pin
     }
 
     /// The oldest timestamp any live [`SnapshotPin`] holds, if any.
@@ -322,17 +329,30 @@ impl StmDomain {
         self.pins.min_occupied()
     }
 
-    /// The bound below which superseded versions are unreachable: no live
-    /// pin — and, by monotonicity of [`StmDomain::snapshot_ts`], no
-    /// *future* pin — can carry a timestamp below it. Version-bundle
-    /// pruning keeps the newest entry at-or-below this bound plus
-    /// everything above it; retired nodes whose retirement timestamp is
-    /// at-or-below it are invisible to every present and future snapshot.
+    /// The bound below which superseded versions are unreachable:
+    /// `min(clock, oldest pin)`, reading the clock **first**. No live pin
+    /// carries a timestamp below it, and neither can any future one.
+    /// Version-bundle pruning keeps the newest entry at-or-below this
+    /// bound plus everything above it; retired nodes whose retirement
+    /// timestamp is at-or-below it are invisible to every present and
+    /// future snapshot.
+    ///
+    /// Safety argument (all loads and slot stores SeqCst). A pin `P`
+    /// whose slot claim precedes our scan of that slot is seen — holding
+    /// 0 or its final `ts` — so the bound is `<= P.ts`. Otherwise `P`'s
+    /// claim follows our scan, which follows our clock read; `P` reads
+    /// the clock after its claim, and the clock never decreases, so
+    /// `P.ts >=` the clock value we read `>=` the bound. (Scanning pins
+    /// before reading the clock would be unsound: a pin claiming its slot
+    /// between the two reads could carry a `ts` below a clock that moved
+    /// on meanwhile.) In-flight wirers need no term here: a pin at or
+    /// above a wirer's commit timestamp waits for that wirer before it
+    /// reads a single bundle.
     pub fn prune_bound(&self) -> u64 {
-        let ts = self.snapshot_ts();
+        let clk = self.clock();
         match self.oldest_pinned() {
-            Some(p) => p.min(ts),
-            None => ts,
+            Some(p) => p.min(clk),
+            None => clk,
         }
     }
 
@@ -380,10 +400,10 @@ impl StmDomain {
 }
 
 /// RAII registration in the wiring registry ([`StmDomain::begin_wiring`]):
-/// while live, [`StmDomain::snapshot_ts`] cannot advance to (or past) the
-/// commit timestamp of the transaction committed under it. Dropping it —
-/// on the success path after the last post-commit store, or implicitly on
-/// an abort path — releases the watermark.
+/// while live, every [`StmDomain::pin_snapshot`] whose timestamp reaches
+/// the commit timestamp of the transaction committed under it waits.
+/// Dropping it — on the success path after the last post-commit store, or
+/// implicitly on an abort path — releases those pins.
 #[must_use = "dropping the ticket immediately un-fences the wiring window"]
 pub struct WiringTicket<'d> {
     domain: &'d StmDomain,
@@ -518,36 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn wiring_ticket_holds_snapshot_ts_below_commit() {
-        let d = StmDomain::new();
-        // No writers wiring: the watermark is the clock.
-        assert_eq!(d.snapshot_ts(), d.clock());
-        let ticket = d.begin_wiring();
-        let before = d.clock();
-        let wv = d.clock_bump(); // "commit"
-        assert_eq!(wv, before + 1);
-        // Mid-wiring: the watermark stays strictly below wv.
-        assert!(d.snapshot_ts() < wv);
-        assert_eq!(d.snapshot_ts(), before);
-        drop(ticket);
-        assert_eq!(d.snapshot_ts(), wv);
-    }
-
-    #[test]
-    fn snapshot_ts_is_min_over_concurrent_wirers() {
-        let d = StmDomain::new();
-        let t1 = d.begin_wiring(); // holds clock=0
-        d.clock_bump();
-        let t2 = d.begin_wiring(); // holds clock=1
-        d.clock_bump();
-        assert_eq!(d.snapshot_ts(), 0);
-        drop(t1);
-        assert_eq!(d.snapshot_ts(), 1);
-        drop(t2);
-        assert_eq!(d.snapshot_ts(), 2);
-    }
-
-    #[test]
     fn snapshot_pin_sets_prune_bound() {
         let d = Arc::new(StmDomain::new());
         d.clock_bump();
@@ -570,27 +560,43 @@ mod tests {
     }
 
     #[test]
-    fn pin_under_wiring_sees_held_back_ts() {
+    fn pin_waits_out_an_earlier_wirer() {
         let d = Arc::new(StmDomain::new());
         let ticket = d.begin_wiring();
-        let wv = d.clock_bump();
-        let pin = d.pin_snapshot();
-        assert!(pin.ts() < wv, "a pin taken mid-wiring must not see wv");
+        let wv = d.clock_bump(); // "commit", still wiring
+        let (tx, rx) = std::sync::mpsc::channel();
+        let d2 = d.clone();
+        let reader = std::thread::spawn(move || {
+            let pin = d2.pin_snapshot();
+            tx.send(pin.ts()).unwrap();
+        });
+        // The pin read the clock at `wv` and waits for the ticket.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(
+            rx.try_recv().is_err(),
+            "a pin at wv must wait for its wirer"
+        );
         drop(ticket);
-        let pin2 = d.pin_snapshot();
-        assert_eq!(pin2.ts(), wv);
-        // prune_bound respects the older pin.
-        assert_eq!(d.prune_bound(), pin.ts());
+        assert_eq!(rx.recv().unwrap(), wv);
+        reader.join().unwrap();
+        // A wirer registered after the clock read is not waited for.
+        let late = d.begin_wiring();
+        let pin = d.pin_snapshot();
+        assert_eq!(pin.ts(), wv);
+        assert_eq!(d.prune_bound(), wv);
+        drop(late);
     }
 
     #[test]
     fn registry_slots_recycle() {
-        let d = StmDomain::new();
+        let d = Arc::new(StmDomain::new());
         // Far more acquire/release cycles than slots: indexes recycle.
         for _ in 0..1000 {
             let t = d.begin_wiring();
             drop(t);
         }
-        assert_eq!(d.snapshot_ts(), d.clock());
+        // No slot leaked: a pin above every released ticket never waits.
+        d.clock_bump();
+        assert_eq!(d.pin_snapshot().ts(), d.clock());
     }
 }

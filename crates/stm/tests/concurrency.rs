@@ -212,3 +212,50 @@ fn stats_accumulate_under_contention() {
     // Aborts are workload-dependent, but the counters must be consistent.
     assert_eq!(s.explicit_aborts, 0);
 }
+
+/// A snapshot pin must never land below a prune bound read before it:
+/// pruning to that bound may already have cut every version the pin
+/// would resolve onto. Two writers cycle wiring tickets around tiny
+/// commits (each ticket samples the clock before the commit bumps it)
+/// while a reader alternates `prune_bound` and `pin_snapshot`.
+#[test]
+fn pin_never_lands_below_an_earlier_prune_bound() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let d = Arc::new(StmDomain::new());
+    let stop = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..2)
+        .map(|_| {
+            let (d, stop) = (d.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let var = TVar::new(0u64);
+                // ORDERING: a stop flag; nothing is published through it.
+                while !stop.load(Ordering::Relaxed) {
+                    let ticket = d.begin_wiring();
+                    atomically(&d, |tx| tx.write(&var, 1));
+                    drop(ticket);
+                }
+            })
+        })
+        .collect();
+    // The race needs many rounds to show; unoptimized builds only smoke it.
+    let rounds = if cfg!(debug_assertions) {
+        100_000
+    } else {
+        2_000_000
+    };
+    let mut violation = None;
+    for i in 0..rounds {
+        let bound = d.prune_bound();
+        let pin = d.pin_snapshot();
+        if pin.ts() < bound {
+            violation = Some((i, pin.ts(), bound));
+            break;
+        }
+    }
+    // ORDERING: a stop flag; the joins below synchronize.
+    stop.store(true, Ordering::Relaxed);
+    for w in writers {
+        w.join().unwrap();
+    }
+    assert_eq!(violation, None, "(iteration, pin ts, earlier prune bound)");
+}

@@ -437,16 +437,23 @@ impl<V: Clone + Send + Sync + 'static> Batcher<V> {
             return Err(StoreError::Overloaded { queued });
         }
         let slot = Arc::new(Slot::empty());
-        self.queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(Pending {
+        {
+            let mut queue = self
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            queue.push(Pending {
                 op,
                 slot: slot.clone(),
                 enqueued: Instant::now(),
             });
-        // ORDERING: approximate depth counter for admission only.
-        self.queue_len.fetch_add(1, Ordering::Relaxed);
+            // Counted inside the queue lock: a combiner takes ops under
+            // the same lock and decrements only afterwards, so it can
+            // never subtract this op before it was added and wrap the
+            // depth below zero.
+            // ORDERING: the queue mutex orders the add before the drain.
+            self.queue_len.fetch_add(1, Ordering::Relaxed);
+        }
         // While another thread holds the combiner lock it is (or soon will
         // be) draining the queue — ops pile up behind it and the next
         // holder combines them all. Blocking here is the coalescing (bounded

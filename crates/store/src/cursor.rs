@@ -1,42 +1,51 @@
 //! The paged scan APIs: bounded pages over `[lo, hi]` with a resume key,
-//! so a million-key scan never materializes in one transaction and never
-//! holds a transaction open between pages. Two consistency modes:
+//! so a million-key scan never materializes at once and never holds
+//! anything open between pages. Every page is the store's one read path:
+//! a linearizable snapshot pin plus a transaction-free walk of the
+//! visited shards' version bundles. Two consistency modes:
 //!
 //! * **Per-page linearizable** ([`Cursor`], via [`LeapStore::scan`]):
-//!   each page is one linearizable cross-shard transaction
-//!   ([`leaplist::LeapListLt::range_page_group`]). Pages are individually
-//!   consistent but the scan as a whole is not one snapshot — a writer
-//!   landing between pages is seen by later pages only. Pages keep
-//!   working while a [`crate::Rebalancer`] moves the very keys being
-//!   scanned — each page's plan includes both sides of every overlay it
-//!   overlaps, and its range-scoped stamp ignores overlays elsewhere, so
-//!   a disjoint range rebalancing never forces a page to retry. This is
-//!   also the primitive the migration driver itself pages with.
+//!   each page pins a fresh timestamp, so the scan as a whole is not one
+//!   snapshot — a writer landing between pages is seen by later pages
+//!   only. Pages keep working while a [`crate::Rebalancer`] moves the
+//!   very keys being scanned — each page's plan includes both sides of
+//!   every overlay it overlaps, and its range-scoped stamp ignores
+//!   overlays elsewhere, so a disjoint range rebalancing never forces a
+//!   page to re-plan.
 //!
 //! * **Pinned snapshot** ([`SnapshotCursor`], via
-//!   [`LeapStore::scan_snapshot`]): the first cursor operation pins the
-//!   global commit timestamp once; **every** page then reads the version
-//!   bundles at that timestamp. The whole multi-page scan is one
-//!   consistent snapshot — across pages, across concurrent batches, and
-//!   across in-flight migrations (a migrated key is visible on exactly
-//!   one side of the overlay at any timestamp). Pages never retry and
-//!   can never be aborted by concurrent commits; the cost is that the
-//!   live cursor holds back version-bundle pruning and node reclamation
-//!   (drop it promptly). The handle embeds a thread-local epoch guard,
-//!   so it is neither `Send` nor `Sync`.
+//!   [`LeapStore::scan_snapshot`]): the cursor pins one timestamp when it
+//!   is created and **every** page reads the version bundles at it. The
+//!   whole multi-page scan is one linearizable snapshot — across pages,
+//!   concurrent batches and in-flight migrations (a migrated key is
+//!   visible on exactly one side of the overlay at any timestamp). Pages
+//!   never retry and can never be aborted by concurrent commits; the cost
+//!   is that the live cursor holds back version-bundle pruning and node
+//!   reclamation (drop it promptly). The handle embeds a thread-local
+//!   epoch guard, so it is neither `Send` nor `Sync`.
 
 use crate::store::{LeapStore, VisitPlan};
-use leaplist::{LeapListLt, ListSnapshot};
-use std::sync::Arc;
+use leaplist::ListSnapshot;
+use std::sync::atomic::Ordering;
 
 /// Default pairs per page for [`LeapStore::scan`].
 pub const DEFAULT_PAGE_SIZE: usize = 256;
 
+/// Where a scan of `[.., hi]` resumes after `page`: a full page may have
+/// more behind it, so past its last key; a short page proves every
+/// visited shard was exhausted.
+fn resume_after<V>(page: &[(u64, V)], page_size: usize, hi: u64) -> Option<u64> {
+    match page.last() {
+        Some(&(last, _)) if page.len() == page_size && last < hi => Some(last + 1),
+        _ => None,
+    }
+}
+
 /// A resumable, paged scan over `[lo, hi]` of a [`LeapStore`], in the
 /// per-page linearizable mode.
 ///
-/// Every [`Cursor::next_page`] is one linearizable snapshot transaction of
-/// at most `page_size` pairs; between pages the store runs free, so a
+/// Every [`Cursor::next_page`] is one linearizable snapshot read of at
+/// most `page_size` pairs; between pages the store runs free, so a
 /// concurrent writer may change keys the cursor has not reached yet (the
 /// usual cursor contract — each page is internally consistent, the scan as
 /// a whole is not one snapshot). When the whole scan must be one
@@ -85,13 +94,8 @@ impl<'a, V: Clone + Send + Sync + 'static> Cursor<'a, V> {
     /// Never returns an empty page.
     pub fn next_page(&mut self) -> Option<Vec<(u64, V)>> {
         let lo = self.next?;
-        let page = self.store.range_page_merged(lo, self.hi, self.page_size);
-        self.next = match page.last() {
-            // A full page may have more behind it; resume past its last
-            // key. A short page proves every visited shard was exhausted.
-            Some(&(last, _)) if page.len() == self.page_size && last < self.hi => Some(last + 1),
-            _ => None,
-        };
+        let page = self.store.scan_page(lo, self.hi, self.page_size);
+        self.next = resume_after(&page, self.page_size, self.hi);
         (!page.is_empty()).then_some(page)
     }
 
@@ -116,9 +120,9 @@ impl<V: Clone + Send + Sync + 'static> Iterator for Cursor<'_, V> {
     }
 }
 
-/// A snapshot-isolated paged scan over `[lo, hi]` of a [`LeapStore`]:
-/// every page observes exactly the commits at-or-before one pinned
-/// timestamp, chosen when the cursor was created.
+/// A linearizable paged scan over `[lo, hi]` of a [`LeapStore`]: every
+/// page observes exactly the commits at-or-before one pinned timestamp,
+/// chosen when the cursor was created.
 ///
 /// The cursor captures its shard visit plan (including both sides of
 /// every in-flight migration it overlaps) **once**, together with the
@@ -158,11 +162,7 @@ pub struct SnapshotCursor<'a, V> {
     snap: ListSnapshot,
     /// The captured visit plan: every list that can hold a `[lo, hi]` key
     /// visible at the timestamp, with per-list clipped ranges.
-    lists: Vec<Arc<LeapListLt<V>>>,
-    clips: Vec<(u64, u64)>,
-    /// Whether merged pages interleave (hash placement or an overlay) and
-    /// need sorting.
-    sort: bool,
+    plan: VisitPlan<V>,
     hi: u64,
     /// Next key to resume from; `None` once exhausted.
     next: Option<u64>,
@@ -173,14 +173,13 @@ impl<'a, V: Clone + Send + Sync + 'static> SnapshotCursor<'a, V> {
     pub(crate) fn new(store: &'a LeapStore<V>, lo: u64, hi: u64, page_size: usize) -> Self {
         assert!(hi < u64::MAX, "key u64::MAX is reserved");
         assert!(page_size > 0, "a page must hold at least one pair");
-        let (snap, (lists, clips, sort)): (ListSnapshot, VisitPlan<V>) =
-            store.pinned_snapshot_plan(lo, hi);
+        let (snap, plan) = store.pinned_snapshot_plan(lo, hi);
+        // ORDERING: monotonic stat counter; no publication rides on it.
+        store.snapshot_scans.fetch_add(1, Ordering::Relaxed);
         SnapshotCursor {
             store,
             snap,
-            lists,
-            clips,
-            sort,
+            plan,
             hi,
             next: (lo <= hi).then_some(lo),
             page_size,
@@ -198,30 +197,13 @@ impl<'a, V: Clone + Send + Sync + 'static> SnapshotCursor<'a, V> {
     pub fn next_page(&mut self) -> Option<Vec<(u64, V)>> {
         let lo = self.next?;
         let page = self.store.timed_snapshot_page(|| {
-            let mut merged: Vec<(u64, V)> = Vec::new();
-            for (list, &(clo, chi)) in self.lists.iter().zip(&self.clips) {
-                let from = clo.max(lo);
-                if from > chi {
-                    continue;
-                }
-                // Appends at most `page_size` pairs per list; the
-                // globally first `page_size` are all among them.
-                list.snapshot_page_into(&self.snap, from, chi, self.page_size, &mut merged);
-            }
-            if self.sort {
-                merged.sort_unstable_by_key(|(k, _)| *k);
-            }
-            merged.truncate(self.page_size);
-            merged
+            LeapStore::snapshot_page(&self.snap, &self.plan, lo, self.page_size)
         });
-        self.next = match page.last() {
-            // The resume key comes from the snapshot-visible page: a
-            // boundary key deleted (or its node replaced) after the pin
-            // is still the correct place to resume from, because every
-            // later page reads at the same timestamp.
-            Some(&(last, _)) if page.len() == self.page_size && last < self.hi => Some(last + 1),
-            _ => None,
-        };
+        // The resume key comes from the snapshot-visible page: a boundary
+        // key deleted (or its node replaced) after the pin is still the
+        // correct place to resume from, because every later page reads at
+        // the same timestamp.
+        self.next = resume_after(&page, self.page_size, self.hi);
         (!page.is_empty()).then_some(page)
     }
 
@@ -268,7 +250,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         Cursor::new(self, lo, hi, page_size)
     }
 
-    /// A snapshot-isolated paged scan of `[lo, hi]` with the default page
+    /// A linearizable snapshot scan of `[lo, hi]` with the default page
     /// size: every page reads at one timestamp pinned now. See
     /// [`SnapshotCursor`].
     ///
@@ -279,7 +261,7 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         SnapshotCursor::new(self, lo, hi, DEFAULT_PAGE_SIZE)
     }
 
-    /// A snapshot-isolated paged scan of `[lo, hi]` yielding at most
+    /// A linearizable snapshot scan of `[lo, hi]` yielding at most
     /// `page_size` pairs per page. See [`SnapshotCursor`].
     ///
     /// # Panics
@@ -409,6 +391,8 @@ mod tests {
                 seen.extend(page);
             }
             assert_eq!(seen, expected, "{mode:?}: the pin froze the view");
+            // Commits under the live pin kept their older versions.
+            assert!(s.stats().bundle_depth >= 2, "{mode:?}");
             // A fresh snapshot sees the new state.
             let now: Vec<_> = s.scan_snapshot(0, 999).flatten().collect();
             assert_eq!(now.len(), 100, "100 keys - 1 deleted + 1 inserted");

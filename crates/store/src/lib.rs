@@ -15,9 +15,11 @@
 //!   each shard's ops become one multi-op chain-rebuild plan, so there is
 //!   no serialized slow path.
 //! * **Linearizable cross-shard range queries** — [`LeapStore::range`]
-//!   assembles per-shard snapshots *inside one transaction*
-//!   ([`leaplist::LeapListLt::range_query_group`]): the merged result is a
-//!   single consistent snapshot of the whole keyspace.
+//!   pins one linearizable snapshot timestamp
+//!   ([`leap_stm::StmDomain::pin_snapshot`]) and walks every visited
+//!   shard's version bundles at it, with no transaction: the merged
+//!   result is a single consistent snapshot of the whole keyspace.
+//!   `count_range`, `len` and both cursors share this one read path.
 //! * **Configurable placement** — [`Router`] supports hash and
 //!   contiguous-range partitioning; range mode lets a range query visit
 //!   only the overlapping shards.
@@ -28,12 +30,12 @@
 //!   driven deterministically ([`LeapStore::rebalance_step`]) or by a
 //!   background [`Rebalancer`] acting on a [`RebalancePolicy`].
 //! * **Paged scans** — [`LeapStore::scan`] returns a [`Cursor`] yielding
-//!   bounded pages, each one linearizable transaction with a resume key:
-//!   huge scans without huge transactions, stable across resharding.
-//! * **Snapshot-isolated scans** — [`LeapStore::scan_snapshot`] returns a
+//!   bounded pages, each one linearizable snapshot read with a resume
+//!   key: huge scans without huge reads, stable across resharding.
+//! * **Snapshot scans** — [`LeapStore::scan_snapshot`] returns a
 //!   [`SnapshotCursor`] that pins the global commit timestamp once and
 //!   serves **every** page from the shards' version bundles at that
-//!   timestamp: the whole multi-page scan is one consistent snapshot,
+//!   timestamp: the whole multi-page scan is one linearizable snapshot,
 //!   retry-free under concurrent commits and in-flight migrations.
 //! * **Operation batching** — [`Batcher`] flat-combines single-key ops
 //!   from many threads into grouped multi-list transactions, with a

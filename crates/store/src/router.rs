@@ -502,7 +502,7 @@ impl Router {
     /// The overlay identity of `[lo, hi]` for linearizable multi-shard
     /// reads (see [`OverlayStamp`]). Capture it **before** planning the
     /// visit (it must precede the table read the plan derives from) and
-    /// compare after the snapshot transaction.
+    /// compare after pinning the snapshot the plan is read at.
     pub(crate) fn overlay_stamp(&self, lo: u64, hi: u64) -> OverlayStamp {
         let set = self.overlays_read();
         OverlayStamp {

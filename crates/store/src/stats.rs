@@ -116,7 +116,7 @@ pub struct StoreStats {
     /// injected drain fault; each surfaced to its caller as
     /// [`crate::StoreError::Overloaded`].
     pub shed_ops: u64,
-    /// Snapshot-isolated scans started ([`crate::LeapStore::scan_snapshot`]
+    /// Snapshot cursor scans started ([`crate::LeapStore::scan_snapshot`]
     /// cursors pinned) since construction.
     pub snapshot_scans: u64,
     /// High-water mark of any shard's level-0 version-bundle depth: 1 when

@@ -148,9 +148,9 @@ impl StoreConfig {
     }
 }
 
-/// One multi-shard read plan: the lists to visit in one snapshot
-/// transaction, their (clipped) per-list key ranges, and whether the
-/// merged result needs sorting.
+/// One multi-shard read plan: the lists to walk at one pinned snapshot,
+/// their (clipped) per-list key ranges, and whether the merged result
+/// needs sorting.
 pub(crate) type VisitPlan<V> = (Vec<Arc<LeapListLt<V>>>, Vec<(u64, u64)>, bool);
 
 /// One shard slot: the Leap-List and its op counters, kept side by side
@@ -168,14 +168,14 @@ struct ShardSlot<V> {
 ///   source/destination pair as one cross-list transaction).
 /// * [`LeapStore::multi_put`] / [`LeapStore::apply`] — cross-shard batches
 ///   applied as **one linearizable action**.
-/// * [`LeapStore::range`] — a cross-shard range query assembled from
-///   per-shard snapshots taken inside **one** transaction
-///   ([`LeapListLt::range_query_group`]), so the combined result is a
+/// * [`LeapStore::range`] — a cross-shard range query read at **one**
+///   linearizable snapshot pin through the shards' version bundles
+///   ([`LeapListLt::snapshot_page_into`]), so the combined result is a
 ///   single consistent snapshot: it can never observe part of a batch —
-///   or half of a shard migration.
+///   or half of a shard migration — and never runs a transaction.
 /// * [`LeapStore::scan`] — a paged cursor over a range: each page is one
-///   bounded linearizable transaction with a resume key, so scanning a
-///   million keys never materializes them in one transaction.
+///   bounded linearizable snapshot read with a resume key, so scanning a
+///   million keys never materializes them at once.
 /// * [`LeapStore::scan_snapshot`] — a paged cursor whose every page reads
 ///   at **one** pinned commit timestamp via the shards' version bundles:
 ///   the whole scan is one consistent snapshot, and pages never retry
@@ -245,7 +245,7 @@ pub struct LeapStore<V> {
     /// injected drain fault (each one surfaced to its caller as
     /// [`StoreError::Overloaded`], never silently).
     pub(crate) shed_ops: AtomicU64,
-    /// Snapshot-isolated scans started ([`LeapStore::scan_snapshot`]
+    /// Snapshot cursor scans started ([`LeapStore::scan_snapshot`]
     /// cursors pinned).
     pub(crate) snapshot_scans: AtomicU64,
     /// Deterministic fault injector shared by every injection point;
@@ -1019,7 +1019,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     }
 
     /// [`LeapStore::range`] under a bounded retry budget; see
-    /// [`LeapStore::put_within`].
+    /// [`LeapStore::put_within`]. The read itself runs no transaction, so
+    /// it never spends the budget; the form exists so every op has one.
     ///
     /// # Errors
     ///
@@ -1062,9 +1063,10 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     }
 
     /// Linearizable cross-shard range query: all pairs with keys in
-    /// `[lo, hi]`, ascending, from **one** consistent snapshot (one
-    /// transaction spans every visited shard — including both sides of an
-    /// in-flight migration).
+    /// `[lo, hi]`, ascending, from **one** consistent snapshot — a pinned
+    /// timestamp read through the visited shards' version bundles
+    /// (including both sides of an in-flight migration), with no
+    /// transaction and no retries against concurrent commits.
     ///
     /// Returns an empty vector when `lo > hi`.
     ///
@@ -1073,97 +1075,47 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
     /// Panics if `hi == u64::MAX`.
     pub fn range(&self, lo: u64, hi: u64) -> Vec<(u64, V)> {
         let _span = self.span_keyed(leap_obs::OpClass::Range, lo);
-        self.timed(OpKind::Range, || self.range_inner(lo, hi))
+        self.timed(OpKind::Range, || self.pinned_page(lo, hi, usize::MAX))
     }
 
-    fn range_inner(&self, lo: u64, hi: u64) -> Vec<(u64, V)> {
-        assert!(hi < u64::MAX, "key u64::MAX is reserved");
-        if lo > hi {
-            return Vec::new();
-        }
-        loop {
-            let stamp = self.router.overlay_stamp(lo, hi);
-            let (lists, ranges, sort) = self.visit_plan(lo, hi);
-            let refs: Vec<&LeapListLt<V>> = lists.iter().map(|l| &**l).collect();
-            let per_shard = LeapListLt::range_query_group(&refs, &ranges);
-            if self.router.overlay_stamp(lo, hi) != stamp {
-                // A migration overlapping [lo, hi] began or completed
-                // mid-plan: the visited list set may not have been
-                // exhaustive. Retry. (Disjoint migrations never trip
-                // this — their flips cannot move this range's keys.)
-                leap_obs::trace::note_stamp_retry(0);
-                continue;
-            }
-            let mut merged: Vec<(u64, V)> = per_shard.into_iter().flatten().collect();
-            if sort {
-                // Contiguous shards concatenate in key order; hashed
-                // shards (and migration overlays) interleave.
-                merged.sort_unstable_by_key(|(k, _)| *k);
-            }
-            return merged;
-        }
-    }
-
-    /// One bounded page of `[lo, hi]`: the first at-most-`limit` pairs, in
-    /// one linearizable transaction. The engine under [`LeapStore::scan`].
-    pub(crate) fn range_page_merged(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)> {
+    /// One bounded page of `[lo, hi]`: the first at-most-`limit` pairs at
+    /// a freshly pinned timestamp. The engine under [`LeapStore::scan`].
+    pub(crate) fn scan_page(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)> {
         let _span = self.span_keyed(leap_obs::OpClass::ScanPage, lo);
-        self.timed(OpKind::ScanPage, || self.range_page_inner(lo, hi, limit))
+        self.timed(OpKind::ScanPage, || self.pinned_page(lo, hi, limit))
     }
 
-    fn range_page_inner(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)> {
+    /// Pins a snapshot, plans `[lo, hi]` and reads one page of it.
+    fn pinned_page(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, V)> {
         assert!(hi < u64::MAX, "key u64::MAX is reserved");
-        assert!(limit > 0, "a page must hold at least one pair");
         if lo > hi {
             return Vec::new();
         }
-        loop {
-            let stamp = self.router.overlay_stamp(lo, hi);
-            let (lists, ranges, sort) = self.visit_plan(lo, hi);
-            let refs: Vec<&LeapListLt<V>> = lists.iter().map(|l| &**l).collect();
-            let per_shard = LeapListLt::range_page_group(&refs, &ranges, limit);
-            if self.router.overlay_stamp(lo, hi) != stamp {
-                leap_obs::trace::note_stamp_retry(0);
-                continue;
-            }
-            let mut merged: Vec<(u64, V)> = per_shard.into_iter().flatten().collect();
-            if sort {
-                merged.sort_unstable_by_key(|(k, _)| *k);
-            }
-            // Each list returned its first `limit` pairs, so the globally
-            // first `limit` pairs are all present in the merge.
-            merged.truncate(limit);
-            return merged;
-        }
+        let (snap, plan) = self.pinned_snapshot_plan(lo, hi);
+        Self::snapshot_page(&snap, &plan, lo, limit)
     }
 
     /// Number of keys in `[lo, hi]` from one consistent cross-shard
-    /// snapshot, with no value clones and no node buffering
-    /// ([`LeapListLt::count_range_group`]).
+    /// snapshot: the same pinned bundle walk as [`LeapStore::range`],
+    /// counting instead of cloning values.
     ///
     /// # Panics
     ///
     /// Panics if `hi == u64::MAX`.
     pub fn count_range(&self, lo: u64, hi: u64) -> usize {
         let _span = self.span_keyed(leap_obs::OpClass::Len, lo);
-        self.timed(OpKind::Len, || self.count_range_inner(lo, hi))
-    }
-
-    fn count_range_inner(&self, lo: u64, hi: u64) -> usize {
-        assert!(hi < u64::MAX, "key u64::MAX is reserved");
-        if lo > hi {
-            return 0;
-        }
-        loop {
-            let stamp = self.router.overlay_stamp(lo, hi);
-            let (lists, ranges, _) = self.visit_plan(lo, hi);
-            let refs: Vec<&LeapListLt<V>> = lists.iter().map(|l| &**l).collect();
-            let counts = LeapListLt::count_range_group(&refs, &ranges);
-            if self.router.overlay_stamp(lo, hi) == stamp {
-                return counts.iter().sum();
+        self.timed(OpKind::Len, || {
+            assert!(hi < u64::MAX, "key u64::MAX is reserved");
+            if lo > hi {
+                return 0;
             }
-            leap_obs::trace::note_stamp_retry(0);
-        }
+            let (snap, (lists, clips, _)) = self.pinned_snapshot_plan(lo, hi);
+            lists
+                .iter()
+                .zip(&clips)
+                .map(|(list, &(clo, chi))| list.snapshot_count(&snap, clo, chi))
+                .sum()
+        })
     }
 
     /// The shards a `[lo, hi]` query must visit — per the current table,
@@ -1197,12 +1149,13 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         (lists, ranges, sort)
     }
 
-    /// Pins a snapshot timestamp and captures the `[lo, hi]` visit plan
-    /// that goes with it — the one-time setup behind
-    /// [`LeapStore::scan_snapshot`]. Every later page reads the captured
-    /// lists at the pinned timestamp with **no** stamp checks: commits
-    /// and migrations after the pin carry larger write versions and are
-    /// invisible by construction.
+    /// Pins a linearizable snapshot timestamp and captures the `[lo, hi]`
+    /// visit plan that goes with it — the one setup behind every
+    /// multi-key read ([`LeapStore::range`], [`LeapStore::count_range`],
+    /// both cursors). Every read then walks the captured lists at the
+    /// pinned timestamp with **no** stamp checks: commits and migrations
+    /// after the pin carry larger write versions and are invisible by
+    /// construction.
     ///
     /// The stamp bracket here is the only race window: a migration
     /// overlapping `[lo, hi]` completing between the pin and the plan
@@ -1230,12 +1183,35 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
             let snap = leaplist::ListSnapshot::pin(&self.domain);
             let plan = self.visit_plan(lo, hi);
             if self.router.overlay_stamp(lo, hi) == stamp {
-                // ORDERING: monotonic stat counter; no publication rides on it.
-                self.snapshot_scans.fetch_add(1, Ordering::Relaxed);
                 return (snap, plan);
             }
             leap_obs::trace::note_stamp_retry(0);
         }
+    }
+
+    /// The first at-most-`limit` pairs of `plan` from `from` upwards, as
+    /// of `snap`: each planned list appends its first `limit` pairs, so
+    /// the globally first `limit` are all in the merge.
+    pub(crate) fn snapshot_page(
+        snap: &leaplist::ListSnapshot,
+        (lists, clips, sort): &VisitPlan<V>,
+        from: u64,
+        limit: usize,
+    ) -> Vec<(u64, V)> {
+        let mut merged: Vec<(u64, V)> = Vec::new();
+        for (list, &(clo, chi)) in lists.iter().zip(clips) {
+            let lo = clo.max(from);
+            if lo <= chi {
+                list.snapshot_page_into(snap, lo, chi, limit, &mut merged);
+            }
+        }
+        if *sort {
+            // Contiguous shards concatenate in key order; hashed shards
+            // (and migration overlays) interleave.
+            merged.sort_unstable_by_key(|(k, _)| *k);
+        }
+        merged.truncate(limit);
+        merged
     }
 
     /// Times one snapshot page into the `snapshot_page` histogram (the
@@ -1245,8 +1221,8 @@ impl<V: Clone + Send + Sync + 'static> LeapStore<V> {
         self.timed(OpKind::SnapshotPage, f)
     }
 
-    /// Number of keys, from one consistent snapshot (routed through the
-    /// count-only transactional walk — no value clones).
+    /// Number of keys, from one consistent snapshot (the count-only
+    /// bundle walk of [`LeapStore::count_range`] — no value clones).
     pub fn len(&self) -> usize {
         self.count_range(0, u64::MAX - 1)
     }
